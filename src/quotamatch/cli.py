@@ -1,7 +1,9 @@
 """Command-line interface for batch solving, estimation, and experiments.
 
-Exit codes: 0 on converged success, 1 on usage or file errors, 2 when a solver
-fails to converge or a verification fails, 3 when quotas are infeasible.
+Exit codes: 0 on converged success, 1 on usage or file errors and on
+out-of-range input (KernelRangeError: surplus minus tax too large for exp),
+2 when a solver fails to converge or a verification fails, 3 when quotas are
+infeasible.
 """
 
 from __future__ import annotations
@@ -212,7 +214,12 @@ def _cmd_counterfactual(args) -> int:
     if args.urban_region:
         urban = args.urban_region
     else:
-        candidates = [z for z in spec.regions]
+        candidates = [z for zi, z in enumerate(spec.regions) if spec.lower[zi] == 0.0]
+        if len(candidates) != 1:
+            raise ValueError(
+                f"{len(candidates)} regions have no floor in the market file; "
+                "name the capped region with --urban-region"
+            )
         urban = candidates[0]
     floor_regions = [z for z in spec.regions if z != urban]
     header = (

@@ -1,16 +1,22 @@
 """Welfare-maximizing tax design under regional quotas, with KKT verification.
 
-The constrained design problem reduces, after fixing taxes, to the tax-fixed
-equilibrium of :mod:`quotamatch.ae`; the taxes themselves are found by
-Gauss-Seidel coordinate descent over regions. For one region, the coordinate
-optimum has a complete case split: if the zero-tax mass already respects the
-quota interval the tax is zero; if the ceiling is exceeded there is a unique
-positive tax driving the region's mass exactly onto the ceiling; if the floor
-is missed there is a unique negative tax (a subsidy) lifting the mass onto the
-floor. Region mass is continuous and monotone in the region's own tax, so the
-root is found by bracketed bisection, and the nonsmooth part of the objective
-is separable across regions, which makes the cyclic sweep converge to the
-unique optimum.
+With the taxes ``w`` fixed, the equilibrium value ``W(w) = G(U) + H(V)`` of
+:mod:`quotamatch.ae` is convex in ``w`` with ``dW/dw_z = -mass_z`` (Galichon &
+Salanie, *Cupid's Invisible Hand*, ReStud 2022). Writing ``w = p - q`` with
+ceiling and floor parts ``p, q >= 0``, tax design is the bounded convex program
+
+    min  W(p - q) + upper . p - lower . q   over  p, q in [0, bracket_limit],
+
+with ``p_z`` held at zero where the ceiling is infinite and ``q_z`` where the
+floor is zero. At its optimum a region whose mass lies inside its quota
+interval is untaxed, a taxed region has its mass exactly on its ceiling, and a
+subsidized region has its mass exactly on its floor.
+
+L-BFGS-B over (p, q) finds the binding regions, one warm-started fixed-point
+solve per evaluation. The fixed point's tolerance leaves noise in ``W`` that
+stalls L-BFGS-B short of the constraint tolerance, so a Newton polish with the
+exact Jacobian of region mass in the taxes then puts every binding region on
+its bound.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import optimize
 from scipy.special import xlogy
 
 from .ae import IpfpConfig, _ipfp, _matching, _utilities, build_kernel
@@ -38,20 +45,19 @@ __all__ = [
     "EaeConfig",
     "KKTReport",
     "InfeasibleQuotaError",
-    "TaxSearchError",
     "solve_eae",
-    "outer_step",
     "verify_kkt",
     "dual_value",
 ]
 
+#: iteration cap of the L-BFGS-B search; it stops far earlier, on stalling
+_LBFGS_ITERATIONS = 1000
+#: cap on the Newton polish; it needs a few steps once the binding set is known
+_POLISH_STEPS = 20
+
 
 class InfeasibleQuotaError(RuntimeError):
     """A quota cannot be met by any tax in the admissible bracket."""
-
-
-class TaxSearchError(RuntimeError):
-    """The bisection lost monotonicity or stalled; indicates a solver bug."""
 
 
 @dataclass(frozen=True)
@@ -60,16 +66,12 @@ class EaeConfig:
 
     tax_tolerance: float = 1e-8
     constraint_tolerance: float = 1e-8
-    max_sweeps: int = 200
-    bracket_initial: float = 1.0
     bracket_limit: float = 64.0
     inner: IpfpConfig = IpfpConfig()
 
     def __post_init__(self):
         if not (self.tax_tolerance > 0 and self.constraint_tolerance > 0):
             raise ValueError("tolerances must be positive")
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -101,10 +103,9 @@ class _InnerSolver:
         self.cfg = cfg
         self.a = None
         self.b = None
+        self.kernel = None
         self.total_iterations = 0
-        self.all_converged = True
         self.last_converged = True
-        self.masses = None
 
     def solve(self, w: np.ndarray) -> np.ndarray:
         """Solve at taxes ``w`` and return the per-region matched masses."""
@@ -118,125 +119,46 @@ class _InnerSolver:
             self.a,
             self.b,
         )
-        self.a, self.b = a, b
+        self.a, self.b, self.kernel = a, b, kernel
         self.total_iterations += iters
         self.last_converged = residual <= self.cfg.inner.population_tolerance
-        if not self.last_converged:
-            self.all_converged = False
         per_slot = (a[:, None] * b[None, :] * kernel).sum(axis=0)
-        self.masses = np.bincount(
+        return np.bincount(
             self.spec.slot_region_index, weights=per_slot, minlength=self.spec.num_regions
         )
-        return self.masses
 
+    def value(self) -> float:
+        """Equilibrium value W = G(U) + H(V) at the last solve.
 
-def _bisect_tax(
-    inner: _InnerSolver,
-    w: np.ndarray,
-    zi: int,
-    target: float,
-    search_up: bool,
-    cfg: EaeConfig,
-) -> float:
-    """Find the tax on region ``zi`` putting its mass exactly on ``target``.
+        In the logit closed form 1 + sum_y exp(U_xy) = n_x / a_x**2, and
+        likewise on the slot side.
+        """
+        n, m = self.spec.n, self.spec.m
+        return float(
+            (n * (np.log(n) - 2.0 * np.log(self.a))).sum()
+            + (m * (np.log(m) - 2.0 * np.log(self.b))).sum()
+        )
 
-    Maintains a bracket [lo, hi] with mass(lo) >= target >= mass(hi); region
-    mass must be non-increasing in the region's own tax, and that
-    monotonicity is asserted at every evaluation. The assertion only binds
-    between converged inner solves: near saturation the fixed point becomes
-    stiff and non-converged mass estimates are too noisy to compare, in which
-    case the search degrades gracefully and the outer result is flagged.
-    """
-    slack = max(1e-9, 10.0 * cfg.inner.population_tolerance)
-    certified = True
+    def mass_jacobian(self) -> np.ndarray:
+        """Exact d(region mass)/d(tax), shape (L, L), at the last solve.
 
-    def mass_at(tax: float) -> float:
-        nonlocal certified
-        w[zi] = tax
-        value = float(inner.solve(w)[zi])
-        certified = certified and inner.last_converged
-        return value
-
-    def check_monotone(lower_mass: float, higher_mass: float, message: str) -> None:
-        if certified and lower_mass < higher_mass - slack:
-            raise TaxSearchError(message)
-
-    if search_up:
-        lo, mass_lo = 0.0, float(inner.masses[zi])
-        hi = cfg.bracket_initial
-        mass_hi = mass_at(hi)
-        check_monotone(mass_lo, mass_hi, f"mass increased with the tax on region {zi}")
-        while mass_hi > target:
-            lo, mass_lo = hi, mass_hi
-            hi *= 2.0
-            if hi > cfg.bracket_limit:
-                raise InfeasibleQuotaError(
-                    f"ceiling {target:g} unreachable within tax bracket "
-                    f"[0, {cfg.bracket_limit:g}] for region index {zi}"
-                )
-            new_mass = mass_at(hi)
-            check_monotone(mass_hi, new_mass, f"mass increased with the tax on region {zi}")
-            mass_hi = new_mass
-    else:
-        hi, mass_hi = 0.0, float(inner.masses[zi])
-        lo = -cfg.bracket_initial
-        mass_lo = mass_at(lo)
-        check_monotone(mass_lo, mass_hi, f"mass decreased with the subsidy on region {zi}")
-        while mass_lo < target:
-            hi, mass_hi = lo, mass_lo
-            lo *= 2.0
-            if -lo > cfg.bracket_limit:
-                raise InfeasibleQuotaError(
-                    f"floor {target:g} unreachable within subsidy bracket "
-                    f"[-{cfg.bracket_limit:g}, 0] for region index {zi}"
-                )
-            new_mass = mass_at(lo)
-            check_monotone(new_mass, mass_lo, f"mass decreased with the subsidy on region {zi}")
-            mass_lo = new_mass
-
-    # Bisect until the returned point is pinned in tax and sits on the target
-    # mass well inside the constraint tolerance.
-    mass_goal = 0.5 * cfg.constraint_tolerance
-    mid = 0.5 * (lo + hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        mass_mid = mass_at(mid)
-        if certified and not (mass_hi - slack <= mass_mid <= mass_lo + slack):
-            raise TaxSearchError(f"region mass not monotone during bisection on region {zi}")
-        if mass_mid > target:
-            lo, mass_lo = mid, mass_mid
-        else:
-            hi, mass_hi = mid, mass_mid
-        if hi - lo <= cfg.tax_tolerance and abs(mass_mid - target) <= mass_goal:
-            return mid
-    if not certified:
-        # Uncertified search: best available point; the caller's convergence
-        # flag is already false through the inner solver's bookkeeping.
-        return mid
-    raise TaxSearchError(f"bisection failed to converge on region index {zi}")
-
-
-def _sweep(inner: _InnerSolver, w: np.ndarray, spec: MarketSpec, cfg: EaeConfig) -> float:
-    """One Gauss-Seidel pass over all regions; returns the max tax change."""
-    half_tol = 0.5 * cfg.constraint_tolerance
-    max_change = 0.0
-    for zi in range(spec.num_regions):
-        w_old = w[zi]
-        if not (np.isfinite(spec.upper[zi]) or spec.lower[zi] > 0.0):
-            # Unconstrained region: complementary slackness forces a zero tax.
-            w[zi] = 0.0
-            max_change = max(max_change, abs(w_old))
-            continue
-        w[zi] = 0.0
-        mass0 = float(inner.solve(w)[zi])
-        if mass0 > spec.upper[zi] + half_tol:
-            w[zi] = _bisect_tax(inner, w, zi, float(spec.upper[zi]), True, cfg)
-        elif mass0 < spec.lower[zi] - half_tol:
-            w[zi] = _bisect_tax(inner, w, zi, float(spec.lower[zi]), False, cfg)
-        else:
-            w[zi] = 0.0
-        max_change = max(max_change, abs(w[zi] - w_old))
-    return max_change
+        Implicit differentiation of F_x = a_x**2 + a_x (K b)_x - n_x = 0 and
+        G_y = b_y**2 + b_y (K'a)_y - m_y = 0, with dK_xy/dw_z = -K_xy [y in z] / 2;
+        the diagonal slot block is eliminated, so the linear solve is N x N.
+        Region mass is the sum of m_y - b_y**2 over its slots.
+        """
+        a, b, kernel = self.a, self.b, self.kernel
+        R = np.eye(self.spec.num_regions)[self.spec.slot_region_index]
+        aK = a[:, None] * kernel
+        bKt = (kernel * b[None, :]).T
+        slot_matched = b * (kernel.T @ a)
+        d_a = 2.0 * a + kernel @ b
+        d_b = 2.0 * b + kernel.T @ a
+        schur = np.diag(d_a) - aK @ (bKt / d_b[:, None])
+        rhs = 0.5 * ((aK * b[None, :]) @ R - aK @ ((slot_matched / d_b)[:, None] * R))
+        da = np.linalg.solve(schur, rhs)
+        db = (0.5 * slot_matched[:, None] * R - bKt @ da) / d_b[:, None]
+        return -2.0 * R.T @ (b[:, None] * db)
 
 
 def solve_eae(
@@ -247,34 +169,82 @@ def solve_eae(
 ) -> EquilibriumResult:
     """Compute the unique welfare-maximizing equilibrium under the quotas.
 
-    Raises InfeasibleQuotaError when some quota is unreachable by any
-    admissible tax; returns a partial result flagged ``converged=False`` when
-    the sweep budget is exhausted. A converged result carries a passing KKT
-    report at the configured constraint tolerance.
+    Raises InfeasibleQuotaError when a tax reaches ``cfg.bracket_limit`` while
+    its quota is still violated by more than the constraint tolerance.
+    Otherwise returns a result whose ``converged`` flag is True iff the final
+    fixed-point solve converged and :func:`verify_kkt` passes against the true
+    surplus at the constraint tolerance.
     """
     cfg = cfg or EaeConfig()
     report = validate_market(spec)
     if not report.ok:
         raise ValueError(f"market is not admissible: {report}")
     phi_arr = as_surplus_array(phi, spec)
-    w = as_tax_array(initial_taxes, spec).copy()
     inner = _InnerSolver(spec, phi_arr, cfg)
+    L = spec.num_regions
+    upper = np.where(np.isfinite(spec.upper), spec.upper, 0.0)
 
-    sweeps = 0
-    converged_outer = False
-    for sweeps in range(1, cfg.max_sweeps + 1):
-        max_change = _sweep(inner, w, spec, cfg)
+    def objective(x):
+        masses = inner.solve(x[:L] - x[L:])
+        value = inner.value() + upper @ x[:L] - spec.lower @ x[L:]
+        return value, np.concatenate([upper - masses, masses - spec.lower])
+
+    hi = np.concatenate([np.isfinite(spec.upper), spec.lower > 0.0]) * cfg.bracket_limit
+    w0 = as_tax_array(initial_taxes, spec)
+    x0 = np.clip(np.concatenate([np.maximum(w0, 0.0), np.maximum(-w0, 0.0)]), 0.0, hi)
+    search = optimize.minimize(
+        objective,
+        x0,
+        jac=True,
+        method="L-BFGS-B",
+        bounds=list(zip(np.zeros(2 * L), hi)),
+        options={"maxiter": _LBFGS_ITERATIONS, "ftol": 0.0, "gtol": cfg.constraint_tolerance},
+    )
+
+    # Newton polish on the binding set. A region binds at its ceiling when
+    # taxed or over the ceiling, at its floor when subsidized or under the
+    # floor; every other region is untaxed.
+    w = search.x[:L] - search.x[L:]
+    half_tol = 0.5 * cfg.constraint_tolerance
+    polish_steps = 0
+    step = np.inf
+    while True:
         masses = inner.solve(w)
-        quotas_ok = bool(
-            np.all(masses >= spec.lower - cfg.constraint_tolerance)
-            and np.all(masses <= spec.upper + cfg.constraint_tolerance)
-        )
-        if max_change <= cfg.tax_tolerance and quotas_ok:
-            converged_outer = True
+        ceiling = (w > 0.0) | (masses > spec.upper + half_tol)
+        floor = ~ceiling & ((w < 0.0) | (masses < spec.lower - half_tol))
+        active = ceiling | floor
+        gap = masses[active] - np.where(ceiling, spec.upper, spec.lower)[active]
+        if (
+            not active.any()
+            or (np.abs(gap).max() <= half_tol and step <= cfg.tax_tolerance)
+            or polish_steps == _POLISH_STEPS
+        ):
             break
+        try:
+            delta = np.linalg.solve(inner.mass_jacobian()[np.ix_(active, active)], -gap)
+        except np.linalg.LinAlgError:
+            break
+        target = np.zeros(L)
+        target[active] = w[active] + delta
+        target = np.where(ceiling, np.maximum(target, 0.0), np.minimum(target, 0.0))
+        target = np.clip(target, -cfg.bracket_limit, cfg.bracket_limit)
+        step = float(np.abs(target - w).max())
+        polish_steps += 1
+        if step == 0.0:
+            break
+        w = target
 
-    # The loop's last inner solve was at the final tax vector, so the solver
-    # state (a, b) is consistent with w here.
+    violation = np.maximum(masses - spec.upper, spec.lower - masses)
+    stuck = np.flatnonzero((np.abs(w) >= cfg.bracket_limit) & (violation > cfg.constraint_tolerance))
+    if stuck.size:
+        zi = stuck[0]
+        raise InfeasibleQuotaError(
+            f"{'ceiling' if w[zi] > 0 else 'floor'} of region {spec.regions[zi]} "
+            f"unreachable within tax bracket [-{cfg.bracket_limit:g}, {cfg.bracket_limit:g}]"
+        )
+
+    # The last inner solve was at the final tax vector, so the solver state
+    # (a, b) is consistent with w here.
     kernel = build_kernel(phi_arr, w, spec).matrix
     w_slot = w[spec.slot_region_index]
     U, V = _utilities(inner.a, inner.b, phi_arr, w_slot)
@@ -292,8 +262,8 @@ def solve_eae(
         duality_gap=kkt.duality_gap,
         max_kkt_residual=_max_residual(kkt),
         inner_iterations=inner.total_iterations,
-        outer_iterations=sweeps,
-        converged=bool(converged_outer and inner.all_converged and kkt.passed),
+        outer_iterations=getattr(search, "nit", 0) + polish_steps,
+        converged=bool(inner.last_converged and kkt.passed),
         tolerances={
             "population_tolerance": cfg.inner.population_tolerance,
             "tax_tolerance": cfg.tax_tolerance,
@@ -301,21 +271,6 @@ def solve_eae(
         },
     )
     return EquilibriumResult(mu, result.utilities, result.taxes, diag)
-
-
-def outer_step(taxes, spec: MarketSpec, phi, cfg: EaeConfig | None = None) -> TaxScheme:
-    """One Gauss-Seidel sweep of the tax search from the given tax vector.
-
-    Every region is visited once: regions whose quota interval already
-    contains the zero-tax mass get a zero tax, and binding regions get the
-    bisection tax placing their mass on the violated bound.
-    """
-    cfg = cfg or EaeConfig()
-    phi_arr = as_surplus_array(phi, spec)
-    w = as_tax_array(taxes, spec).copy()
-    inner = _InnerSolver(spec, phi_arr, cfg)
-    _sweep(inner, w, spec, cfg)
-    return TaxScheme(w)
 
 
 def _max_residual(kkt: KKTReport) -> float:

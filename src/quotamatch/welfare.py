@@ -70,18 +70,8 @@ def agent_welfare(U, V, spec: MarketSpec) -> tuple[float, float]:
 
 def breakdown(result: EquilibriumResult, phi, spec: MarketSpec) -> WelfareBreakdown:
     """Full welfare decomposition of an equilibrium result."""
-    phi_arr = as_surplus_array(phi, spec)
-    mu = result.matching
-    worker_side, slot_side = agent_welfare(result.utilities.U, result.utilities.V, spec)
-    match_surplus = float((mu.matched * phi_arr).sum())
-    entropy_term = entropy(mu, spec)
-    return WelfareBreakdown(
-        social=match_surplus + entropy_term,
-        worker_side=worker_side,
-        slot_side=slot_side,
-        pm_surplus=pm_surplus(mu, result.taxes, spec),
-        entropy_term=entropy_term,
-        match_surplus=match_surplus,
+    return matching_breakdown(
+        result.matching, phi, result.taxes, result.utilities.U, result.utilities.V, spec
     )
 
 

@@ -1,6 +1,6 @@
 """Independent oracles used to cross-check the production solvers.
 
-Everything here deliberately avoids the fixed-point and bisection code paths:
+Everything here deliberately avoids the fixed-point and tax-search code paths:
 values come from Monte-Carlo simulation, finite differences, generic convex
 minimization (projected quasi-Newton over the reduced objectives), or
 exhaustive grid evaluation.

@@ -140,6 +140,31 @@ def test_counterfactual_emits_rows(example_files, tmp_path, capsys):
     assert len(lines) == 1 + 4
 
 
+def test_counterfactual_default_urban_region_is_the_floorless_one(example_files, tmp_path):
+    spec, _, surplus = example_files
+    market = tmp_path / "z1_floor.json"
+    save_market(spec.with_quotas(lower={"z1": 0.1}), market)
+    out = tmp_path / "policies.csv"
+    code = main([
+        "counterfactual", "--market", str(market), "--phi", str(surplus),
+        "--floors", "0.05", "--grid", "0.1:0.5:0.05", "--cap-grid", "0.1:0.3:0.05",
+        "--tax-grid", "0:2:0.5", "--subsidy-grid=-0.2:0:0.1", "--out", str(out),
+    ])
+    assert code == 0
+    header = out.read_text().splitlines()[0].split(",")
+    assert "rural_mass_z1" in header and "rural_mass_z2" not in header
+
+
+def test_counterfactual_without_unique_floorless_region_exits_one(example_files, tmp_path, capsys):
+    _, market, surplus = example_files  # both regions carry a floor
+    code = main([
+        "counterfactual", "--market", str(market), "--phi", str(surplus),
+        "--floors", "0.05", "--out", str(tmp_path / "policies.csv"),
+    ])
+    assert code == 1
+    assert "--urban-region" in capsys.readouterr().err
+
+
 def test_bench_writes_csv(tmp_path):
     out = tmp_path / "bench.csv"
     code = main([
@@ -156,6 +181,19 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["solve-eae", "--market", "missing.json", "--phi", "x", "--out", "y"]) == 1
     assert main(["no-such-command"]) == 1
     assert main(["solve-eae", "--bogus-flag", "1"]) == 1
+
+
+def test_out_of_range_surplus_exits_one(tmp_path, single_pair, capsys):
+    market = tmp_path / "market.json"
+    save_market(single_pair, market)
+    surplus = tmp_path / "phi.json"
+    _write_json({"phi": [[1500.0]]}, surplus)
+    out = tmp_path / "r.json"
+    code = main(["solve-ae", "--market", str(market), "--phi", str(surplus), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: kernel exponent")
+    assert "Traceback" not in err
 
 
 def test_infeasible_market_exits_three(tmp_path, single_pair):
