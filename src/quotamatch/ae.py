@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .logit import entropy, g_value, h_value
+from .logit import g_value, h_value, matching_value
 from .market import (
     Diagnostics,
     EquilibriumResult,
@@ -164,7 +164,7 @@ def solve_ae(
     converged = residual <= cfg.population_tolerance
 
     dual = g_value(U, spec) + h_value(V, spec)
-    primal = float((mu.matched * (phi_arr - w_slot[None, :])).sum()) + entropy(mu, spec)
+    primal = float(matching_value(mu, phi_arr - w_slot[None, :], spec))
     binding_res = float(np.abs(U + V - (phi_arr - w_slot[None, :])).max(initial=0.0))
     diag = Diagnostics(
         dual_value=dual,

@@ -4,6 +4,12 @@ Exit codes: 0 on converged success, 1 on usage or file errors and on
 out-of-range input (KernelRangeError: surplus minus tax too large for exp),
 2 when a solver fails to converge or a verification fails, 3 when quotas are
 infeasible.
+
+``counterfactual`` runs the experiment harness's per-floor policy sweep
+(:func:`quotamatch.experiments.sweep_policies`) on one market. Its
+budget-balance grid has |tax grid| * |subsidy grid|**(L-1) points for L
+regions and is rejected (exit 1) when too large. A floor level the optimal
+tax cannot meet gives exit 3; its other three policy rows are still written.
 """
 
 from __future__ import annotations
@@ -18,31 +24,19 @@ import numpy as np
 from . import experiments
 from .ae import IpfpConfig, solve_ae
 from .eae import EaeConfig, InfeasibleQuotaError, solve_eae, verify_kkt
-from .estimation import (
-    EstimationConfig,
-    EstimationError,
-    estimate,
-    load_covariates,
-    load_observed,
-)
+from .estimation import EstimationConfig, EstimationError, estimate, load_covariates
 from .market import (
     MarketFileError,
     SchemaViolationError,
     load_market,
+    load_matching,
     load_result,
     load_surplus,
     load_taxes,
-    region_masses,
     save_result,
     _write_json,
 )
-from .policies import (
-    PolicyResult,
-    bbae,
-    cap_reduced_ae,
-    eae_upper_bound,
-    welfare_ordering_check,
-)
+from .policies import POLICY_ORDER, welfare_ordering_check
 from .rng import derive_seed
 from .welfare import breakdown, location_offset
 
@@ -108,12 +102,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="CSV of per-policy rows")
     p.add_argument("--floors", required=True, help="floor level(s): lo:hi:step or comma list")
     p.add_argument("--urban-region", help="region receiving caps (default: the region without a floor)")
-    p.add_argument("--grid", default="0.10:0.50:0.01", help="upper-bound candidate grid")
-    p.add_argument("--cap-grid", default="0.050:0.25:0.005", help="artificial capacity grid")
-    p.add_argument("--tax-grid", default="0:10:0.5", help="budget-balance tax axis for the capped region")
-    p.add_argument("--subsidy-grid", default="-0.2:0:0.01", help="budget-balance subsidy axis for floor regions")
-    p.add_argument("--tol-pop", type=float, default=1e-10)
-    p.add_argument("--tol-kkt", type=float, default=1e-8)
+    for flag, default, text in (
+        ("--grid", experiments.UPPER_BOUND_GRID, "upper-bound candidate grid (default 0.10:0.50:0.01)"),
+        ("--cap-grid", experiments.CAP_GRID, "artificial capacity grid (default 0.050:0.25:0.005)"),
+        ("--tax-grid", experiments.BB_TAX_AXIS, "capped region's budget-balance tax axis (default 0:10:0.5)"),
+        ("--subsidy-grid", experiments.BB_SUBSIDY_AXIS, "each floor region's subsidy axis (default -0.2:0:0.01)"),
+    ):
+        p.add_argument(flag, type=_parse_range, default=default, help=text)
 
     p = sub.add_parser("experiment", help="run the residency floor sweep and emit panel CSVs")
     p.add_argument("--seeds", type=int, default=30, help="number of replications")
@@ -181,7 +176,7 @@ def _report(result, spec) -> None:
 
 def _cmd_estimate(args) -> int:
     spec = load_market(args.market)
-    observed = load_observed(args.observed, spec)
+    observed = load_matching(args.observed, spec)
     covariates = load_covariates(args.covariates, spec)
     taxes = load_taxes(args.taxes, spec) if args.taxes else None
     cfg = EstimationConfig(
@@ -222,71 +217,22 @@ def _cmd_counterfactual(args) -> int:
             )
         urban = candidates[0]
     floor_regions = [z for z in spec.regions if z != urban]
-    header = (
-        ["policy", "floor", "feasible", "search_parameter", "social_welfare",
-         "agent_welfare", "pm_surplus", "urban_mass"]
-        + [f"rural_mass_{z}" for z in floor_regions]
-        + [f"tax_{z}" for z in spec.regions]
+    sweep = experiments.sweep_policies(
+        spec, phi, floors, urban, floor_regions,
+        args.grid, args.cap_grid, args.tax_grid, args.subsidy_grid,
     )
-    tax_axis = _parse_range(args.tax_grid)
-    subsidy_axis = _parse_range(args.subsidy_grid)
-    rows = []
+    records = []
     status = EXIT_OK
-    for floor in floors:
-        targets = {z: floor for z in floor_regions}
-        results = []
-        try:
-            eq = solve_eae(spec.with_quotas(lower=targets), phi)
-            results.append(
-                PolicyResult(
-                    policy="eae",
-                    equilibrium=eq,
-                    search_parameter=None,
-                    welfare=breakdown(eq, phi, spec),
-                    feasible=eq.diagnostics.converged,
-                    evaluated_matching=eq.matching,
-                )
-            )
-        except InfeasibleQuotaError as e:
-            print(f"floor {floor:g}: {e}", file=sys.stderr)
+    for floor, results in zip(floors, sweep):
+        if len(results) < len(POLICY_ORDER):
+            print(f"floor {floor:g}: infeasible: no optimal-tax (eae) row", file=sys.stderr)
             status = EXIT_INFEASIBLE
-            continue
-        results.append(eae_upper_bound(spec, phi, targets, _parse_range(args.grid), urban))
-        results.append(
-            cap_reduced_ae(
-                spec,
-                phi,
-                targets,
-                _parse_range(args.cap_grid),
-                cap_slots=[y for y in spec.slot_types if spec.region_of[y] == urban],
-            )
+        else:
+            print(f"floor {floor:g}: {welfare_ordering_check(results, tol=1e-7)}")
+        records.extend(
+            experiments._record_policy(floor, None, r, spec, urban, floor_regions) for r in results
         )
-        grid = np.asarray(
-            [
-                [w1 if z == urban else (w2 if z == floor_regions[0] else w3) for z in spec.regions]
-                for w1 in tax_axis
-                for w2 in subsidy_axis
-                for w3 in subsidy_axis
-            ]
-        ) if len(floor_regions) == 2 else np.asarray(
-            [[w1 if z == urban else w2 for z in spec.regions] for w1 in tax_axis for w2 in subsidy_axis]
-        )
-        results.append(bbae(spec, phi, targets, grid))
-        report = welfare_ordering_check(results, tol=1e-7)
-        print(f"floor {floor:g}: {report}")
-        for r in results:
-            masses = region_masses(r.evaluated_matching, spec)
-            search = r.search_parameter
-            if isinstance(search, np.ndarray):
-                search = float(search[spec.region_index(urban)])
-            rows.append(
-                [r.policy, floor, r.feasible, search, r.welfare.social,
-                 r.welfare.worker_side + r.welfare.slot_side, r.welfare.pm_surplus,
-                 float(masses[spec.region_index(urban)])]
-                + [float(masses[spec.region_index(z)]) for z in floor_regions]
-                + [float(r.equilibrium.taxes.w[i]) for i in range(spec.num_regions)]
-            )
-    experiments._write_csv(args.out, header, rows)
+    experiments._write_records(args.out, records, floor_regions, spec.regions, seed_column=False)
     return status
 
 

@@ -25,10 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
-from scipy.special import xlogy
 
 from .ae import IpfpConfig, _ipfp, _matching, _utilities, build_kernel
-from .logit import g_gradient, g_value, h_gradient, h_value
+from .logit import g_gradient, g_value, h_gradient, h_value, matching_value
 from .market import (
     Diagnostics,
     EquilibriumResult,
@@ -244,11 +243,10 @@ def solve_eae(
         )
 
     # The last inner solve was at the final tax vector, so the solver state
-    # (a, b) is consistent with w here.
-    kernel = build_kernel(phi_arr, w, spec).matrix
+    # (a, b, kernel) is consistent with w here.
     w_slot = w[spec.slot_region_index]
     U, V = _utilities(inner.a, inner.b, phi_arr, w_slot)
-    mu = _matching(inner.a, inner.b, kernel)
+    mu = _matching(inner.a, inner.b, inner.kernel)
     result = EquilibriumResult(
         mu,
         SystematicUtilities(U, V),
@@ -296,18 +294,6 @@ def dual_value(U, V, taxes, spec: MarketSpec) -> float:
     ceil_term = float((spec.upper[taxed] * ceil_part[taxed]).sum())
     floor_term = float((spec.lower * floor_part).sum())
     return g_value(U, spec) + h_value(V, spec) + ceil_term - floor_term
-
-
-def _primal_value(mu, phi_arr, spec: MarketSpec) -> float:
-    # Welfare objective with a 0*log(0) = 0 convention so the verifier can
-    # price hand-built profiles that contain zero masses.
-    match_surplus = float((mu.matched * phi_arr).sum())
-    worker_rows = np.column_stack([mu.unmatched_workers, mu.matched])
-    slot_rows = np.column_stack([mu.unmatched_slots, mu.matched.T])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        worker_term = xlogy(worker_rows, worker_rows / spec.n[:, None]).sum()
-        slot_term = xlogy(slot_rows, slot_rows / spec.m[:, None]).sum()
-    return match_surplus - float(worker_term) - float(slot_term)
 
 
 def verify_kkt(result: EquilibriumResult, spec: MarketSpec, phi=None, tol: float = 1e-6) -> KKTReport:
@@ -360,7 +346,7 @@ def verify_kkt(result: EquilibriumResult, spec: MarketSpec, phi=None, tol: float
     cs_residual = max(pair_cs, region_cs)
 
     dual = dual_value(U, V, result.taxes, spec)
-    primal = _primal_value(mu, phi_arr, spec)
+    primal = float(matching_value(mu, phi_arr, spec))
     gap = abs(dual - primal)
 
     passed = bool(

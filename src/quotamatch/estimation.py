@@ -41,7 +41,6 @@ __all__ = [
     "kl_divergence",
     "log_likelihood",
     "estimate",
-    "load_observed",
     "load_covariates",
 ]
 
@@ -272,20 +271,6 @@ def _central_difference_gradient(f):
         return out
 
     return grad
-
-
-def load_observed(path, spec: MarketSpec) -> Matching:
-    """Load an observed matching file: JSON with `mu` in the result layout."""
-    data = _read_json(path)
-    mu_raw = _require(data, "mu", path)
-    mu = Matching(
-        np.asarray(_require(mu_raw, "matched", path), dtype=np.float64),
-        np.asarray(_require(mu_raw, "unmatched_workers", path), dtype=np.float64),
-        np.asarray(_require(mu_raw, "unmatched_slots", path), dtype=np.float64),
-    )
-    if mu.matched.shape != (spec.num_workers, spec.num_slots):
-        raise ValueError(f"{path}: matching shape does not match the market")
-    return mu
 
 
 def load_covariates(path, spec: MarketSpec) -> CovariateBasis:

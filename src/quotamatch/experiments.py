@@ -13,15 +13,16 @@ flag) produces byte-identical files.
 
 from __future__ import annotations
 
+import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .ae import solve_ae
-from .eae import EaeConfig, InfeasibleQuotaError, solve_eae
+from .eae import InfeasibleQuotaError, solve_eae
 from .market import MarketSpec, SurplusMatrix, region_masses
 from .policies import (
     PolicyResult,
@@ -48,6 +49,7 @@ __all__ = [
     "write_records_csv",
     "write_bench_csv",
     "default_tax_grid",
+    "sweep_policies",
 ]
 
 #: candidate ceilings for the upper-bound policy
@@ -57,9 +59,14 @@ CAP_GRID = tuple(np.round(np.linspace(0.050, 0.25, 41), 10))
 #: tax grid axes for the budget-balanced policy
 BB_TAX_AXIS = tuple(np.round(np.linspace(0.0, 10.0, 21), 10))
 BB_SUBSIDY_AXIS = tuple(np.round(np.linspace(-0.2, 0.0, 21), 10))
+#: largest budget-balance grid, in grid points times worker types times slot
+#: types: the size of each stacked (G, N, M) array of the grid solve
+MAX_GRID_ENTRIES = 1_000_000
 
 _PANEL_METRICS = ("social_welfare", "agent_welfare", "pm_surplus", "urban_mass", "rural_mass")
 _POLICIES = ("unconstrained", "eae", "bbae", "eae_upper_bound", "cap_reduced")
+#: per-floor result order of :func:`sweep_policies`
+_SWEPT = ("eae", "eae_upper_bound", "cap_reduced", "bbae")
 
 
 @dataclass(frozen=True)
@@ -163,7 +170,7 @@ class SweepRecord:
     """One policy outcome in one (floor, replication) cell."""
 
     floor: float
-    seed: int
+    seed: int | None  # None for a single market outside the replication sweep
     policy: str
     feasible: bool
     search_parameter: float | None
@@ -239,126 +246,132 @@ def _metric(r: SweepRecord, name: str) -> float:
 def default_tax_grid(
     tax_axis: Sequence[float] = BB_TAX_AXIS,
     subsidy_axis: Sequence[float] = BB_SUBSIDY_AXIS,
+    num_regions: int = 3,
+    capped: int = 0,
 ) -> np.ndarray:
-    """Cartesian budget-balance grid: taxes on the first region, subsidies on
-    the other two."""
-    grid = [
-        (w1, w2, w3) for w1 in tax_axis for w2 in subsidy_axis for w3 in subsidy_axis
-    ]
-    return np.asarray(grid, dtype=np.float64)
+    """Cartesian budget-balance grid: the tax axis on the capped region (by
+    index), its own copy of the subsidy axis on every other region.
+
+    Rows run in ``itertools.product`` order over the capped region first and
+    then the others in region order, |tax axis| * |subsidy axis|**(L-1) rows.
+    """
+    points = np.asarray(
+        list(itertools.product(tax_axis, *[subsidy_axis] * (num_regions - 1))), dtype=np.float64
+    )
+    grid = np.empty_like(points)
+    grid[:, [capped] + [z for z in range(num_regions) if z != capped]] = points
+    return grid
+
+
+def sweep_policies(
+    spec: MarketSpec,
+    phi,
+    floor_grid: Sequence[float],
+    urban_region: str,
+    floor_regions: Sequence[str],
+    upper_bound_grid: Sequence[float] = UPPER_BOUND_GRID,
+    cap_grid: Sequence[float] = CAP_GRID,
+    tax_axis: Sequence[float] = BB_TAX_AXIS,
+    subsidy_axis: Sequence[float] = BB_SUBSIDY_AXIS,
+) -> list[list[PolicyResult]]:
+    """The four quota policies at every floor level of one market.
+
+    Returns, per floor level, the ``eae``, ``eae_upper_bound``,
+    ``cap_reduced`` and ``bbae`` results with that floor on every floor
+    region; caps go to ``urban_region``. A floor of zero or less is vacuous
+    and every policy copies the unconstrained equilibrium. When the optimal
+    tax cannot meet the floors (:class:`InfeasibleQuotaError`) that level has
+    no ``eae`` result. The budget-balance grid (:func:`default_tax_grid`) is
+    solved once for all levels; a grid whose points times worker and slot
+    types exceed ``MAX_GRID_ENTRIES`` is rejected before any solve.
+    """
+    points = len(tax_axis) * len(subsidy_axis) ** (spec.num_regions - 1)
+    if points * spec.num_workers * spec.num_slots > MAX_GRID_ENTRIES:
+        raise ValueError(
+            f"budget-balance grid of {points} tax vectors on a "
+            f"{spec.num_workers}x{spec.num_slots} market exceeds {MAX_GRID_ENTRIES} "
+            "stacked pair masses; coarsen the subsidy axis (--subsidy-grid)"
+        )
+    tax_grid = default_tax_grid(
+        tax_axis, subsidy_axis, spec.num_regions, spec.region_index(urban_region)
+    )
+    grid_solution = prepare_bbae_grid(spec, phi, tax_grid)
+    cap_slots = [y for y in spec.slot_types if spec.region_of[y] == urban_region]
+    unconstrained = None
+    sweep = []
+    for floor in floor_grid:
+        if floor <= 0.0:
+            if unconstrained is None:
+                unconstrained = _as_policy_result("unconstrained", solve_ae(spec, phi), phi, spec)
+            sweep.append([replace(unconstrained, policy=p) for p in _SWEPT])
+            continue
+        floors = {z: floor for z in floor_regions}
+        results = []
+        try:
+            eae_result = solve_eae(spec.with_quotas(lower=floors), phi)
+            feasible = eae_result.diagnostics.converged
+            results.append(_as_policy_result("eae", eae_result, phi, spec, feasible))
+        except InfeasibleQuotaError:
+            pass
+        results.append(
+            eae_upper_bound(spec, phi, floors, upper_bound_grid, bound_region=urban_region)
+        )
+        results.append(cap_reduced_ae(spec, phi, floors, cap_grid, cap_slots=cap_slots))
+        results.append(select_bbae(grid_solution, spec, phi, floors))
+        sweep.append(results)
+    return sweep
 
 
 def _record_policy(
     floor: float,
-    seed: int,
-    policy: str,
-    spec: MarketSpec,
+    seed: int | None,
     result: PolicyResult,
-    cfg: JrmpConfig,
+    spec: MarketSpec,
+    urban_region: str,
+    floor_regions: Sequence[str],
 ) -> SweepRecord:
     masses = region_masses(result.evaluated_matching, spec)
     w = result.equilibrium.taxes.w
     search = result.search_parameter
     if isinstance(search, np.ndarray):
-        search = float(search[spec.region_index(cfg.urban_region)])
+        search = float(search[spec.region_index(urban_region)])
     return SweepRecord(
         floor=floor,
         seed=seed,
-        policy=policy,
+        policy=result.policy,
         feasible=result.feasible,
         search_parameter=search,
         social_welfare=result.welfare.social,
         agent_welfare=result.welfare.worker_side + result.welfare.slot_side,
         pm_surplus=result.welfare.pm_surplus,
-        urban_mass=float(masses[spec.region_index(cfg.urban_region)]),
-        rural_mass={z: float(masses[spec.region_index(z)]) for z in cfg.floor_regions},
+        urban_mass=float(masses[spec.region_index(urban_region)]),
+        rural_mass={z: float(masses[spec.region_index(z)]) for z in floor_regions},
         taxes={z: float(w[i]) for i, z in enumerate(spec.regions)},
     )
 
 
-def _as_policy_result(policy: str, result, phi, spec) -> PolicyResult:
+def _as_policy_result(policy: str, result, phi, spec, feasible: bool = True) -> PolicyResult:
     return PolicyResult(
         policy=policy,
         equilibrium=result,
         search_parameter=None,
         welfare=breakdown(result, phi, spec),
-        feasible=True,
+        feasible=feasible,
         evaluated_matching=result.matching,
     )
 
 
 def sweep_one_seed(seed: int, cfg: JrmpConfig) -> list[SweepRecord]:
-    """All policies at all floor levels for one replication.
-
-    The surplus draw is shared across floor levels, and the budget-balance
-    grid is solved once and reused for every level.
-    """
+    """All policies at all floor levels for one replication: the
+    unconstrained equilibrium plus :func:`sweep_policies` on one surplus draw."""
     spec, phi = gen_jrmp_market(seed)
-    floors_regions = cfg.floor_regions
-    eae_cfg = EaeConfig()
-    unconstrained = solve_ae(spec, phi)
-    unconstrained_pr = _as_policy_result("unconstrained", unconstrained, phi, spec)
-    grid_solution = prepare_bbae_grid(spec, phi, default_tax_grid())
-    cap_slots = [y for y in spec.slot_types if spec.region_of[y] == cfg.urban_region]
-
-    records: list[SweepRecord] = []
-    for floor in cfg.floor_grid:
-        records.append(_record_policy(floor, seed, "unconstrained", spec, unconstrained_pr, cfg))
-        if floor <= 0.0:
-            # Vacuous floors: every policy accepts zero taxes and coincides
-            # with the unconstrained equilibrium.
-            for policy in ("eae", "bbae", "eae_upper_bound", "cap_reduced"):
-                base = _as_policy_result(policy, unconstrained, phi, spec)
-                records.append(_record_policy(floor, seed, policy, spec, base, cfg))
-            continue
-        floors = {z: floor for z in floors_regions}
-        try:
-            eae_result = solve_eae(spec.with_quotas(lower=floors), phi, eae_cfg)
-            eae_pr = PolicyResult(
-                policy="eae",
-                equilibrium=eae_result,
-                search_parameter=None,
-                welfare=breakdown(eae_result, phi, spec),
-                feasible=eae_result.diagnostics.converged,
-                evaluated_matching=eae_result.matching,
-            )
-            records.append(_record_policy(floor, seed, "eae", spec, eae_pr, cfg))
-        except InfeasibleQuotaError:
-            # Recorded as missing: the cell simply has no optimal-tax row.
-            pass
-        records.append(
-            _record_policy(
-                floor,
-                seed,
-                "eae_upper_bound",
-                spec,
-                eae_upper_bound(
-                    spec, phi, floors, UPPER_BOUND_GRID, bound_region=cfg.urban_region
-                ),
-                cfg,
-            )
-        )
-        records.append(
-            _record_policy(
-                floor,
-                seed,
-                "cap_reduced",
-                spec,
-                cap_reduced_ae(spec, phi, floors, CAP_GRID, cap_slots=cap_slots),
-                cfg,
-            )
-        )
-        records.append(
-            _record_policy(
-                floor,
-                seed,
-                "bbae",
-                spec,
-                select_bbae(grid_solution, spec, phi, floors),
-                cfg,
-            )
-        )
-    return records
+    unconstrained = _as_policy_result("unconstrained", solve_ae(spec, phi), phi, spec)
+    sweep = sweep_policies(spec, phi, cfg.floor_grid, cfg.urban_region, cfg.floor_regions)
+    return [
+        _record_policy(floor, seed, r, spec, cfg.urban_region, cfg.floor_regions)
+        for floor, results in zip(cfg.floor_grid, sweep)
+        for r in [unconstrained, *results]
+    ]
 
 
 def run_lower_bound_sweep(
@@ -442,22 +455,25 @@ def write_locus_csv(panel: PanelData, path) -> None:
 
 def write_records_csv(panel: PanelData, path) -> None:
     """Per-replication policy rows (the counterfactual sweep export)."""
-    rural = list(panel.cfg.floor_regions)
     regions = list(panel.records[0].taxes) if panel.records else []
+    _write_records(path, panel.records, panel.cfg.floor_regions, regions)
+
+
+def _write_records(path, records, rural, regions, seed_column: bool = True) -> None:
+    seed = ["seed"] if seed_column else []
     header = (
-        ["policy", "floor", "seed", "feasible", "search_parameter"]
+        ["policy", "floor"] + seed + ["feasible", "search_parameter"]
         + ["social_welfare", "agent_welfare", "pm_surplus", "urban_mass"]
         + [f"rural_mass_{z}" for z in rural]
         + [f"tax_{z}" for z in regions]
     )
-    rows = []
-    for r in panel.records:
-        rows.append(
-            [r.policy, r.floor, r.seed, r.feasible, r.search_parameter]
-            + [r.social_welfare, r.agent_welfare, r.pm_surplus, r.urban_mass]
-            + [r.rural_mass[z] for z in rural]
-            + [r.taxes[z] for z in regions]
-        )
+    rows = [
+        [r.policy, r.floor] + ([r.seed] if seed_column else []) + [r.feasible, r.search_parameter]
+        + [r.social_welfare, r.agent_welfare, r.pm_surplus, r.urban_mass]
+        + [r.rural_mass[z] for z in rural]
+        + [r.taxes[z] for z in regions]
+        for r in records
+    ]
     _write_csv(path, header, rows)
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import abc
 
 import numpy as np
+from scipy.special import xlogy
 
 from .market import MarketSpec, Matching
 
@@ -32,6 +33,7 @@ __all__ = [
     "h_value",
     "h_gradient",
     "entropy",
+    "matching_value",
 ]
 
 EULER_GAMMA = float(np.euler_gamma)
@@ -88,7 +90,7 @@ class GumbelLogitModel(ErrorModel):
         p = np.asarray(shares, dtype=np.float64)
         if np.any(p <= 0.0):
             raise ValueError("conjugate requires strictly positive choice fractions")
-        return (p * np.log(p)).sum(axis=1)
+        return _xlog_share(p, np.ones(p.shape[0])).sum(axis=1)
 
 
 _DEFAULT_MODEL = GumbelLogitModel()
@@ -136,20 +138,49 @@ def h_gradient(V, spec: MarketSpec, model: ErrorModel = _DEFAULT_MODEL) -> np.nd
     return (spec.m[:, None] * model.gradient_rows(arr.T)).T
 
 
+def matching_value(mu, phi, spec: MarketSpec):
+    """Social value of matchings: realized surplus plus the heterogeneity term.
+
+    Computes ``sum mu*phi - sum mu*log(mu/n) - sum mu*log(mu/m)``, where the
+    logarithmic sums run over each type's row of matched and unmatched masses
+    (the Choo-Siow entropy). ``mu`` is a :class:`Matching` or any object with
+    ``matched`` (..., N, M), ``unmatched_workers`` (..., N) and
+    ``unmatched_slots`` (..., M) arrays stacked over the same leading axes;
+    ``phi`` broadcasts against ``matched``. Returns one value per leading
+    index (a scalar for a single matching). Zero masses contribute 0 (the
+    0*log 0 = 0 convention), and so does a positive mass too small for its
+    share of the type mass to be representable; negative masses give nan.
+    """
+    matched = np.asarray(mu.matched, dtype=np.float64)
+    worker_rows = np.concatenate(
+        [np.asarray(mu.unmatched_workers, dtype=np.float64)[..., :, None], matched], axis=-1
+    )
+    slot_rows = np.concatenate(
+        [np.asarray(mu.unmatched_slots, dtype=np.float64)[..., :, None], np.swapaxes(matched, -1, -2)],
+        axis=-1,
+    )
+    worker_term = _xlog_share(worker_rows, spec.n).sum(axis=(-2, -1))
+    slot_term = _xlog_share(slot_rows, spec.m).sum(axis=(-2, -1))
+    match_surplus = (matched * phi).sum(axis=(-2, -1))
+    return match_surplus - worker_term - slot_term
+
+
+def _xlog_share(rows: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    # rows * log(rows / mass) per type row. A positive mass whose share
+    # underflows to zero has a term below 1e-320, which is taken as 0.
+    share = rows / mass[:, None]
+    share[share == 0.0] = 1.0
+    return xlogy(rows, share)
+
+
 def entropy(mu: Matching, spec: MarketSpec) -> float:
     """Unobserved-heterogeneity surplus of a strictly positive matching.
 
     This is the negative of the two conjugates evaluated at the per-type
     choice fractions, and it equals the expected error terms collected by the
-    realized choices on each side.
+    realized choices on each side: :func:`matching_value` at zero surplus.
     """
-    matched = np.asarray(mu.matched, dtype=np.float64)
-    uw = np.asarray(mu.unmatched_workers, dtype=np.float64)
-    us = np.asarray(mu.unmatched_slots, dtype=np.float64)
-    if min(matched.min(initial=np.inf), uw.min(initial=np.inf), us.min(initial=np.inf)) < MASS_FLOOR:
+    masses = (mu.matched, mu.unmatched_workers, mu.unmatched_slots)
+    if min(np.min(x, initial=np.inf) for x in masses) < MASS_FLOOR:
         raise ValueError("entropy requires every mass to be strictly positive")
-    worker_rows = np.column_stack([uw, matched])
-    slot_rows = np.column_stack([us, matched.T])
-    worker_term = (worker_rows * np.log(worker_rows / spec.n[:, None])).sum()
-    slot_term = (slot_rows * np.log(slot_rows / spec.m[:, None])).sum()
-    return float(-worker_term - slot_term)
+    return float(matching_value(mu, 0.0, spec))

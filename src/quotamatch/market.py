@@ -41,6 +41,7 @@ __all__ = [
     "load_taxes",
     "save_result",
     "load_result",
+    "load_matching",
 ]
 
 
@@ -594,15 +595,28 @@ def save_result(result: EquilibriumResult, path, spec: MarketSpec, welfare=None)
     _write_json(doc, path)
 
 
-def load_result(path, spec: MarketSpec) -> EquilibriumResult:
-    """Load an equilibrium result file written by :func:`save_result`."""
-    data = _read_json(path)
+def _parse_matching(data: dict, spec: MarketSpec, path) -> Matching:
     mu_raw = _require(data, "mu", path)
     matching = Matching(
         np.asarray(_require(mu_raw, "matched", path), dtype=np.float64),
         np.asarray(_require(mu_raw, "unmatched_workers", path), dtype=np.float64),
         np.asarray(_require(mu_raw, "unmatched_slots", path), dtype=np.float64),
     )
+    if matching.matched.shape != (spec.num_workers, spec.num_slots):
+        raise SchemaViolationError(f"{path}: matching shape does not match the market")
+    return matching
+
+
+def load_matching(path, spec: MarketSpec) -> Matching:
+    """Load a matching file: JSON with `mu` in the result layout (an observed
+    matching, or any result file)."""
+    return _parse_matching(_read_json(path), spec, path)
+
+
+def load_result(path, spec: MarketSpec) -> EquilibriumResult:
+    """Load an equilibrium result file written by :func:`save_result`."""
+    data = _read_json(path)
+    matching = _parse_matching(data, spec, path)
     utilities = SystematicUtilities(
         np.asarray(_require(data, "U", path), dtype=np.float64),
         np.asarray(_require(data, "V", path), dtype=np.float64),
@@ -619,6 +633,4 @@ def load_result(path, spec: MarketSpec) -> EquilibriumResult:
         converged=bool(diag_raw["converged"]),
         tolerances=diag_raw.get("tolerances"),
     )
-    if matching.matched.shape != (spec.num_workers, spec.num_slots):
-        raise SchemaViolationError(f"{path}: matching shape does not match the market")
     return EquilibriumResult(matching, utilities, taxes, diag)

@@ -34,6 +34,7 @@ import numpy as np
 
 from .ae import GridSolution, IpfpConfig, solve_ae, solve_ae_grid
 from .eae import EaeConfig, solve_eae
+from .logit import matching_value
 from .market import EquilibriumResult, MarketSpec, Matching, as_surplus_array, region_masses
 from .welfare import WelfareBreakdown, breakdown, matching_breakdown
 
@@ -188,23 +189,6 @@ def prepare_bbae_grid(
     return solve_ae_grid(spec, phi, np.asarray(list(tax_grid), dtype=np.float64), cfg)
 
 
-def _grid_social_welfare(grid_solution: GridSolution, phi_arr: np.ndarray, spec: MarketSpec):
-    """Vectorized welfare of every grid equilibrium (all masses positive)."""
-    from scipy.special import xlogy
-
-    matched = grid_solution.matched
-    worker_rows = np.concatenate(
-        [grid_solution.unmatched_workers[:, :, None], matched], axis=2
-    )
-    slot_rows = np.concatenate(
-        [grid_solution.unmatched_slots[:, :, None], matched.transpose(0, 2, 1)], axis=2
-    )
-    worker_term = xlogy(worker_rows, worker_rows / spec.n[None, :, None]).sum(axis=(1, 2))
-    slot_term = xlogy(slot_rows, slot_rows / spec.m[None, :, None]).sum(axis=(1, 2))
-    match_surplus = (matched * phi_arr[None, :, :]).sum(axis=(1, 2))
-    return match_surplus - worker_term - slot_term
-
-
 def select_bbae(
     grid_solution: GridSolution,
     spec: MarketSpec,
@@ -227,7 +211,7 @@ def select_bbae(
     net_agent_surplus = (
         grid_solution.matched * (phi_arr[None, :, :] - w_slot[:, None, :])
     ).sum(axis=(1, 2))
-    welfare = _grid_social_welfare(grid_solution, phi_arr, spec)
+    welfare = matching_value(grid_solution, phi_arr, spec)
     balanced = revenue >= -1e-12
     floors_ok = np.ones(grid_solution.taxes.shape[0], dtype=bool)
     for z, f in target_floors.items():

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .logit import EULER_GAMMA, entropy, g_value, h_value
+from .logit import EULER_GAMMA, g_value, h_value, matching_value
 from .market import EquilibriumResult, MarketSpec, Matching, as_surplus_array, as_tax_array
 
 __all__ = [
@@ -51,10 +51,9 @@ class WelfareBreakdown:
 
 
 def social_welfare(mu: Matching, phi, spec: MarketSpec) -> float:
-    """Total surplus of a strictly positive feasible matching: realized match
-    surplus plus the unobserved-heterogeneity term."""
-    phi_arr = as_surplus_array(phi, spec)
-    return float((mu.matched * phi_arr).sum()) + entropy(mu, spec)
+    """Total surplus of a feasible matching: realized match surplus plus the
+    unobserved-heterogeneity term."""
+    return float(matching_value(mu, as_surplus_array(phi, spec), spec))
 
 
 def pm_surplus(mu: Matching, taxes, spec: MarketSpec) -> float:
@@ -85,7 +84,7 @@ def matching_breakdown(mu: Matching, phi, taxes, U, V, spec: MarketSpec) -> Welf
     phi_arr = as_surplus_array(phi, spec)
     worker_side, slot_side = agent_welfare(U, V, spec)
     match_surplus = float((mu.matched * phi_arr).sum())
-    entropy_term = entropy(mu, spec)
+    entropy_term = float(matching_value(mu, 0.0, spec))
     return WelfareBreakdown(
         social=match_surplus + entropy_term,
         worker_side=worker_side,

@@ -165,6 +165,125 @@ def test_counterfactual_without_unique_floorless_region_exits_one(example_files,
     assert "--urban-region" in capsys.readouterr().err
 
 
+def _read_rows(path):
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    return header, [dict(zip(header, line.split(","))) for line in lines[1:]]
+
+
+def test_counterfactual_rows_equal_sweep_records(tmp_path):
+    from quotamatch.experiments import JrmpConfig, gen_jrmp_market, sweep_one_seed
+
+    spec, phi = gen_jrmp_market(7)
+    market = tmp_path / "market.json"
+    surplus = tmp_path / "phi.json"
+    save_market(spec, market)
+    _write_json({"phi": [list(row) for row in phi.phi]}, surplus)
+    out = tmp_path / "policies.csv"
+    code = main([
+        "counterfactual", "--market", str(market), "--phi", str(surplus),
+        "--floors", "0.2,0.3", "--urban-region", "z1", "--out", str(out),
+    ])
+    assert code == 0
+    header, rows = _read_rows(out)
+    assert header == [
+        "policy", "floor", "feasible", "search_parameter", "social_welfare",
+        "agent_welfare", "pm_surplus", "urban_mass", "rural_mass_z2", "rural_mass_z3",
+        "tax_z1", "tax_z2", "tax_z3",
+    ]
+    records = [
+        r for r in sweep_one_seed(7, JrmpConfig(floor_grid=(0.2, 0.3)))
+        if r.policy != "unconstrained"
+    ]
+    assert [(r["policy"], float(r["floor"])) for r in rows] == [(r.policy, r.floor) for r in records]
+    for row, rec in zip(rows, records):
+        assert row["feasible"] == ("true" if rec.feasible else "false")
+        assert row["search_parameter"] == ("" if rec.search_parameter is None else repr(rec.search_parameter))
+        for key in ("social_welfare", "agent_welfare", "pm_surplus", "urban_mass"):
+            assert float(row[key]) == getattr(rec, key), (rec.policy, key)
+        for z in ("z2", "z3"):
+            assert float(row[f"rural_mass_{z}"]) == rec.rural_mass[z]
+        for z in ("z1", "z2", "z3"):
+            assert float(row[f"tax_{z}"]) == rec.taxes[z]
+
+
+def test_counterfactual_infeasible_floor_exits_three_with_other_rows(tmp_path, capsys):
+    # The floor region must take all but 1e-15 of the workers, which needs a
+    # subsidy beyond the admissible bracket (as in the single-pair case).
+    from quotamatch.market import MarketSpec
+
+    spec = MarketSpec(
+        ("x",), ("y1", "y2"), ("z1", "z2"),
+        np.array([1.0]), np.array([1.0, 1.0]),
+        {"y1": "z1", "y2": "z2"},
+        np.array([np.inf, np.inf]), np.zeros(2),
+    )
+    market = tmp_path / "market.json"
+    save_market(spec, market)
+    surplus = tmp_path / "phi.json"
+    _write_json({"phi": [[0.0, 0.0]]}, surplus)
+    out = tmp_path / "policies.csv"
+    code = main([
+        "counterfactual", "--market", str(market), "--phi", str(surplus),
+        "--floors", repr(1.0 - 1e-15), "--urban-region", "z1",
+        "--grid", "0.1:0.5:0.2", "--cap-grid", "0.1:0.5:0.2",
+        "--tax-grid", "0:2:1", "--subsidy-grid=-0.2:0:0.1", "--out", str(out),
+    ])
+    assert code == 3
+    _, rows = _read_rows(out)
+    assert [r["policy"] for r in rows] == ["eae_upper_bound", "cap_reduced", "bbae"]
+    captured = capsys.readouterr()
+    assert "infeasible" in captured.err
+    assert "VIOLATED" not in captured.out and " -> ok" not in captured.out
+
+
+def _four_region_files(tmp_path):
+    from quotamatch.market import MarketSpec
+
+    spec = MarketSpec(
+        ("x1", "x2"), ("y1", "y2", "y3", "y4"), ("z1", "z2", "z3", "z4"),
+        np.array([0.5, 0.5]), np.array([0.3, 0.25, 0.25, 0.25]),
+        {"y1": "z1", "y2": "z2", "y3": "z3", "y4": "z4"},
+        np.full(4, np.inf), np.zeros(4),
+    )
+    market = tmp_path / "market.json"
+    save_market(spec, market)
+    surplus = tmp_path / "phi.json"
+    _write_json({"phi": [[2.0, 0.5, 0.7, 0.4], [1.8, 0.6, 0.3, 0.5]]}, surplus)
+    return market, surplus
+
+
+def test_counterfactual_four_regions_gives_each_floor_region_a_subsidy(tmp_path):
+    market, surplus = _four_region_files(tmp_path)
+    out = tmp_path / "policies.csv"
+    code = main([
+        "counterfactual", "--market", str(market), "--phi", str(surplus),
+        "--floors", "0.1", "--urban-region", "z1",
+        "--grid", "0.1:0.5:0.05", "--cap-grid", "0.1:0.3:0.05",
+        "--tax-grid", "0:2:0.5", "--subsidy-grid=-0.3:0:0.1", "--out", str(out),
+    ])
+    assert code == 0
+    header, rows = _read_rows(out)
+    assert [f"rural_mass_{z}" in header for z in ("z2", "z3", "z4")] == [True] * 3
+    assert [r["policy"] for r in rows] == ["eae", "eae_upper_bound", "cap_reduced", "bbae"]
+    bbae = rows[-1]
+    assert bbae["feasible"] == "true"
+    assert all(float(bbae[f"rural_mass_{z}"]) >= 0.1 - 1e-8 for z in ("z2", "z3", "z4"))
+
+
+def test_counterfactual_default_grid_on_four_regions_exits_one(tmp_path, capsys):
+    market, surplus = _four_region_files(tmp_path)
+    out = tmp_path / "policies.csv"
+    code = main([
+        "counterfactual", "--market", str(market), "--phi", str(surplus),
+        "--floors", "0.1", "--urban-region", "z1", "--out", str(out),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "194481" in err and "--subsidy-grid" in err
+    assert not out.exists()
+
+
 def test_bench_writes_csv(tmp_path):
     out = tmp_path / "bench.csv"
     code = main([

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from quotamatch.experiments import (
     JrmpConfig,
     ScalingConfig,
     bench_eae,
+    default_tax_grid,
     gen_jrmp_market,
     gen_scaling_market,
     run_lower_bound_sweep,
@@ -166,6 +169,25 @@ class TestSweep:
             assert (tmp_path / name).read_bytes() == first[name]
         header = first["panels.csv"].decode().splitlines()[0]
         assert header == "floor,policy,metric,mean,stderr"
+
+
+class TestTaxGrid:
+    def test_four_regions_give_each_floor_region_its_own_subsidy_axis(self):
+        taxes, subsidies = (0.0, 1.0, 2.0), (-0.2, -0.1, 0.0)
+        grid = default_tax_grid(taxes, subsidies, num_regions=4, capped=2)
+        assert grid.shape == (3 * 3**3, 4)
+        # Rows in itertools.product order over (capped, z1, z2, z4).
+        assert grid[:, [2, 0, 1, 3]].tolist() == [
+            list(p) for p in itertools.product(taxes, subsidies, subsidies, subsidies)
+        ]
+        assert len({tuple(row) for row in grid}) == grid.shape[0]
+
+    def test_three_region_default_keeps_its_layout(self):
+        grid = default_tax_grid()
+        assert grid.shape == (21**3, 3)
+        assert grid[1].tolist() == [0.0, -0.2, -0.19]
+        assert grid[21].tolist() == [0.0, -0.19, -0.2]
+        assert grid[-1].tolist() == [10.0, 0.0, 0.0]
 
 
 class TestBench:

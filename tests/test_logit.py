@@ -1,15 +1,21 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import central_difference, mc_worker_value
 from quotamatch.logit import (
     EULER_GAMMA,
+    MASS_FLOOR,
     GumbelLogitModel,
     entropy,
     g_gradient,
     g_value,
     h_gradient,
     h_value,
+    matching_value,
 )
 from quotamatch.market import MarketSpec, Matching
 
@@ -137,6 +143,57 @@ class TestEntropy:
         mu = Matching(np.array([[0.0]]), np.array([1.0]), np.array([1.0]))
         with pytest.raises(ValueError):
             entropy(mu, spec)
+
+
+#: zero, subnormal, and normal masses across nine orders of magnitude
+_MASS = st.one_of(
+    st.just(0.0),
+    st.floats(5e-324, 2e-308, allow_subnormal=True),
+    st.floats(-6.0, 3.0).map(lambda e: 10.0**e),
+)
+
+
+@st.composite
+def stacked_matchings(draw):
+    g, n_types, m_types = (draw(st.integers(1, 3)) for _ in range(3))
+
+    def block(*shape):
+        size = int(np.prod(shape))
+        return np.array(draw(st.lists(_MASS, min_size=size, max_size=size))).reshape(shape)
+
+    type_mass = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+    n = draw(st.lists(type_mass, min_size=n_types, max_size=n_types))
+    m = draw(st.lists(type_mass, min_size=m_types, max_size=m_types))
+    phi = np.array(
+        draw(st.lists(st.floats(-10.0, 10.0), min_size=n_types * m_types, max_size=n_types * m_types))
+    ).reshape(n_types, m_types)
+    stacked = SimpleNamespace(
+        matched=block(g, n_types, m_types),
+        unmatched_workers=block(g, n_types),
+        unmatched_slots=block(g, m_types),
+    )
+    return make_spec(n, m), phi, stacked
+
+
+class TestMatchingValue:
+    @settings(max_examples=200, deadline=None)
+    @given(stacked_matchings())
+    def test_stacked_zero_subnormal_and_entropy_agreement(self, case):
+        spec, phi, stacked = case
+        values = matching_value(stacked, phi, spec)
+        assert values.shape == stacked.matched.shape[:1]
+        assert np.isfinite(values).all()
+        for g, value in enumerate(values):
+            mu = Matching(
+                stacked.matched[g], stacked.unmatched_workers[g], stacked.unmatched_slots[g]
+            )
+            single = matching_value(mu, phi, spec)
+            assert single == pytest.approx(value, rel=1e-12, abs=1e-9)
+            masses = np.concatenate([mu.matched.ravel(), mu.unmatched_workers, mu.unmatched_slots])
+            if masses.min() >= MASS_FLOOR:
+                surplus = float((mu.matched * phi).sum())
+                assert single == pytest.approx(surplus + entropy(mu, spec), rel=1e-12, abs=1e-9)
+                assert matching_value(mu, 0.0, spec) == entropy(mu, spec)
 
 
 class TestConvexAnalysis:

@@ -99,3 +99,26 @@ def test_primal_dual_reconciliation_random(example_market):
 def test_location_offset(example_market):
     spec, _ = example_market
     assert location_offset(spec) == pytest.approx(EULER_GAMMA * 2.0, abs=1e-12)
+
+
+def test_masses_near_underflow_price_and_exit_zero(single_pair, tmp_path):
+    # Kernel exp(-695) ~ 1e-302 is inside the exp range, so the matched mass
+    # is a valid positive number below 1e-300; pricing it must not fail.
+    from quotamatch.cli import main
+    from quotamatch.market import _write_json, save_market
+
+    phi = np.array([[-1390.0]])
+    result = solve_ae(single_pair, phi)
+    assert result.diagnostics.converged
+    assert 0.0 < result.matching.matched[0, 0] < 1e-300
+    wb = breakdown(solve_eae(single_pair, phi), phi, single_pair)
+    assert np.isfinite(list(wb.as_dict().values())).all()
+
+    market = tmp_path / "market.json"
+    surplus = tmp_path / "phi.json"
+    save_market(single_pair, market)
+    _write_json({"phi": [[-1390.0]]}, surplus)
+    for command in ("solve-ae", "solve-eae"):
+        out = tmp_path / f"{command}.json"
+        args = [command, "--market", str(market), "--phi", str(surplus), "--out", str(out)]
+        assert main(args) == 0, command
