@@ -34,6 +34,7 @@ __all__ = [
     "ChooSiowKernel",
     "KernelRangeError",
     "build_kernel",
+    "fixed_point_tangent",
     "solve_ae",
     "solve_ae_grid",
     "GridSolution",
@@ -119,6 +120,26 @@ def _ipfp(n, m, kernel, tol, max_iterations, a0=None, b0=None):
         if residual <= tol:
             break
     return a, b, iterations, residual
+
+
+def fixed_point_tangent(a, b, kernel, r, s):
+    """Tangent of the fixed point along D directions of surplus minus tax.
+
+    Implicit differentiation of F_x = a_x**2 + a_x (K b)_x - n_x = 0 and
+    G_y = b_y**2 + b_y (K'a)_y - m_y = 0 with dK = K * dpsi / 2. A direction
+    dpsi enters only through ``r`` (N, D), r_x = sum_y mu_xy dpsi_xy / 2, and
+    ``s`` (M, D), s_y = sum_x mu_xy dpsi_xy / 2. The diagonal slot block is
+    eliminated, so one N x N solve serves all D directions. Returns (da, db)
+    of shapes (N, D) and (M, D).
+    """
+    aK = a[:, None] * kernel
+    bKt = (kernel * b[None, :]).T
+    d_a = 2.0 * a + kernel @ b
+    d_b = 2.0 * b + kernel.T @ a
+    schur = np.diag(d_a) - aK @ (bKt / d_b[:, None])
+    da = np.linalg.solve(schur, aK @ (s / d_b[:, None]) - r)
+    db = -(s + bKt @ da) / d_b[:, None]
+    return da, db
 
 
 def _utilities(a, b, phi_arr, w_slot):

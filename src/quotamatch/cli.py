@@ -5,6 +5,11 @@ out-of-range input (KernelRangeError: surplus minus tax too large for exp),
 2 when a solver fails to converge or a verification fails, 3 when quotas are
 infeasible.
 
+``estimate`` fits by BFGS with the exact gradient of the KL criterion. It
+exits 0 when the fit reaches the KL tolerance or a stationary point (the
+best fit of data the model cannot reproduce exactly), and 2 when the
+evaluation budget runs out, the search stalls, or an inner solve fails.
+
 ``counterfactual`` runs the experiment harness's per-floor policy sweep
 (:func:`quotamatch.experiments.sweep_policies`) on one market. Its
 budget-balance grid has |tax grid| * |subsidy grid|**(L-1) points for L
@@ -50,6 +55,8 @@ def _parse_range(text: str) -> list[float]:
     """Parse '0.1:0.4:0.05' into an inclusive grid, or a comma list."""
     if ":" in text:
         lo, hi, step = (float(v) for v in text.split(":"))
+        if not (step > 0.0 and hi >= lo):
+            raise ValueError(f"range {text!r} needs a positive step and hi >= lo")
         count = int(round((hi - lo) / step)) + 1
         return [round(lo + i * step, 12) for i in range(count)]
     return [float(v) for v in text.split(",")]
@@ -90,11 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--taxes", help="observed taxes JSON; defaults to zero")
     p.add_argument("--out", required=True)
     p.add_argument("--tol-pop", type=float, default=1e-10)
-    p.add_argument(
-        "--optimizer",
-        choices=("nelder_mead", "finite_difference_bfgs"),
-        default="nelder_mead",
-    )
 
     p = sub.add_parser("counterfactual", help="compare quota policies on one market")
     p.add_argument("--market", required=True)
@@ -179,9 +181,7 @@ def _cmd_estimate(args) -> int:
     observed = load_matching(args.observed, spec)
     covariates = load_covariates(args.covariates, spec)
     taxes = load_taxes(args.taxes, spec) if args.taxes else None
-    cfg = EstimationConfig(
-        optimizer=args.optimizer, inner=IpfpConfig(population_tolerance=args.tol_pop)
-    )
+    cfg = EstimationConfig(inner=IpfpConfig(population_tolerance=args.tol_pop))
     model, report = estimate(observed, covariates, taxes, spec, cfg)
     _write_json(
         {

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from .ae import IpfpConfig, _ipfp, _matching, _utilities, build_kernel
+from .ae import IpfpConfig, _ipfp, _matching, _utilities, build_kernel, fixed_point_tangent
 from .logit import g_gradient, g_value, h_gradient, h_value, matching_value
 from .market import (
     Diagnostics,
@@ -141,22 +141,15 @@ class _InnerSolver:
     def mass_jacobian(self) -> np.ndarray:
         """Exact d(region mass)/d(tax), shape (L, L), at the last solve.
 
-        Implicit differentiation of F_x = a_x**2 + a_x (K b)_x - n_x = 0 and
-        G_y = b_y**2 + b_y (K'a)_y - m_y = 0, with dK_xy/dw_z = -K_xy [y in z] / 2;
-        the diagonal slot block is eliminated, so the linear solve is N x N.
-        Region mass is the sum of m_y - b_y**2 over its slots.
+        Raising w_z moves surplus minus tax by -[y in z]; region mass is the
+        sum of m_y - b_y**2 over its slots.
         """
         a, b, kernel = self.a, self.b, self.kernel
         R = np.eye(self.spec.num_regions)[self.spec.slot_region_index]
-        aK = a[:, None] * kernel
-        bKt = (kernel * b[None, :]).T
-        slot_matched = b * (kernel.T @ a)
-        d_a = 2.0 * a + kernel @ b
-        d_b = 2.0 * b + kernel.T @ a
-        schur = np.diag(d_a) - aK @ (bKt / d_b[:, None])
-        rhs = 0.5 * ((aK * b[None, :]) @ R - aK @ ((slot_matched / d_b)[:, None] * R))
-        da = np.linalg.solve(schur, rhs)
-        db = (0.5 * slot_matched[:, None] * R - bKt @ da) / d_b[:, None]
+        mu = a[:, None] * kernel * b[None, :]
+        r = -0.5 * mu @ R
+        s = -0.5 * mu.sum(axis=0)[:, None] * R
+        _, db = fixed_point_tangent(a, b, kernel, r, s)
         return -2.0 * R.T @ (b[:, None] * db)
 
 

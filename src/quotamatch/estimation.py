@@ -8,6 +8,11 @@ the observed and implied matching distributions over type pairs. Minimizing
 that divergence is equivalent to maximizing the multinomial log likelihood of
 the observed matches.
 
+The outer search is BFGS with the exact gradient of the divergence: the
+surplus is linear in the coefficients, so each coefficient is one direction
+of :func:`quotamatch.ae.fixed_point_tangent`, and one linear solve per
+evaluation differentiates the implied matching in all of them.
+
 Taxes are held fixed at their observed values throughout. Observed matchings
 must be strictly positive on every type pair; zero cells are rejected rather
 than smoothed, since a missing match mass is informative of an unbounded
@@ -21,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import optimize
 
-from .ae import IpfpConfig, solve_ae
+from .ae import IpfpConfig, fixed_point_tangent, solve_ae
 from .market import (
     Matching,
     MarketSpec,
@@ -43,6 +48,11 @@ __all__ = [
     "estimate",
     "load_covariates",
 ]
+
+
+#: sup-norm of the KL gradient at which BFGS stops; the gradient's noise
+#: floor, set by the fixed point's population tolerance, is about 1e-9
+_GRADIENT_TOLERANCE = 1e-8
 
 
 class EstimationError(RuntimeError):
@@ -86,15 +96,12 @@ class SurplusModel:
 
 @dataclass(frozen=True)
 class EstimationConfig:
-    optimizer: str = "nelder_mead"  # or "finite_difference_bfgs"
     kl_tolerance: float = 1e-10
     max_outer_evals: int = 5000
     initial_coefficients: np.ndarray | None = None
     inner: IpfpConfig = IpfpConfig()
 
     def __post_init__(self):
-        if self.optimizer not in ("nelder_mead", "finite_difference_bfgs"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if not self.kl_tolerance > 0:
             raise ValueError("kl_tolerance must be positive")
         if self.max_outer_evals < 1:
@@ -170,7 +177,7 @@ def log_likelihood(
     """Multinomial log likelihood of the observed matches under the model.
 
     Up to a coefficient-independent constant this is the negative observed
-    mass times the KL divergence, so both criteria share their optimizer.
+    mass times the KL divergence, so both criteria share their best coefficients.
     """
     cfg = cfg or EstimationConfig()
     w = as_tax_array(taxes, spec)
@@ -179,8 +186,34 @@ def log_likelihood(
     return float((obs * np.log(sim / sim.sum())).sum())
 
 
-class _Converged(Exception):
+class _StopSearch(Exception):
     pass
+
+
+def _kl_gradient(p: np.ndarray, mu: Matching, c: np.ndarray) -> np.ndarray:
+    """Exact gradient in the coefficients of the divergence at a simulated matching.
+
+    With ``p`` the normalized observed pair vector and q the normalized
+    simulated one, dKL = sum((q - p) dlog sim). Coefficient s moves surplus by
+    c[..., s], so dlog mu_xy = da_x/a_x + db_y/b_y + c_xys/2,
+    dlog mu_x0 = 2 da_x/a_x and dlog mu_0y = 2 db_y/b_y, where a, b are the
+    square roots of the unmatched masses.
+    """
+    a = np.sqrt(mu.unmatched_workers)
+    b = np.sqrt(mu.unmatched_slots)
+    matched = mu.matched
+    half_c = 0.5 * c
+    r = np.einsum("xy,xys->xs", matched, half_c)
+    s = np.einsum("xy,xys->ys", matched, half_c)
+    da, db = fixed_point_tangent(a, b, matched / np.outer(a, b), r, s)
+    n, m = matched.shape
+    excess = _pair_vector(mu) / mu.total() - p
+    pair = excess[: n * m].reshape(n, m)
+    return (
+        (pair.sum(axis=1) + 2.0 * excess[n * m : n * m + n]) @ (da / a[:, None])
+        + (pair.sum(axis=0) + 2.0 * excess[n * m + n :]) @ (db / b[:, None])
+        + np.einsum("xy,xys->s", pair, half_c)
+    )
 
 
 def estimate(
@@ -192,13 +225,19 @@ def estimate(
 ) -> tuple[SurplusModel, FitReport]:
     """Fit surplus coefficients to an observed matching.
 
-    Runs the configured derivative-free or finite-difference search until the
-    divergence falls below ``kl_tolerance`` or the evaluation budget is spent,
-    and returns the best coefficients found together with the search trace.
+    Runs BFGS with the exact gradient of the divergence and returns the best
+    coefficients found together with the search trace. The fit is converged
+    when the divergence falls to ``kl_tolerance`` ("kl tolerance reached") or
+    BFGS reaches a stationary point, its gradient's sup-norm at most 1e-8
+    ("stationary point"). Otherwise it is not, and
+    the message says why: "evaluation budget exhausted" after
+    ``max_outer_evals`` evaluations, or "stalled: " and BFGS's own message.
     """
     cfg = cfg or EstimationConfig()
-    if np.any(_pair_vector(observed) <= 0.0):
+    obs = _pair_vector(observed)
+    if np.any(obs <= 0.0):
         raise ValueError("observed matching must be strictly positive on every type pair")
+    p = obs / obs.sum()
     w = as_tax_array(taxes, spec)
     x0 = (
         np.zeros(c.num_features)
@@ -211,66 +250,40 @@ def estimate(
     report = FitReport()
     best = {"kl": np.inf, "lam": x0.copy()}
 
-    def objective(lam: np.ndarray) -> float:
-        kl = kl_divergence(observed, _simulate(spec, SurplusModel(lam), c, w, cfg.inner))
+    def objective(lam: np.ndarray) -> tuple[float, np.ndarray]:
+        mu = _simulate(spec, SurplusModel(lam), c, w, cfg.inner)
+        kl = kl_divergence(observed, mu)
         report.n_evals += 1
         if kl < best["kl"]:
             best["kl"] = kl
             best["lam"] = np.array(lam)
         report.kl_trace.append(best["kl"])
-        if best["kl"] <= cfg.kl_tolerance:
-            raise _Converged
-        if report.n_evals >= cfg.max_outer_evals:
-            raise _Converged
-        return kl
+        if best["kl"] <= cfg.kl_tolerance or report.n_evals >= cfg.max_outer_evals:
+            raise _StopSearch
+        return kl, _kl_gradient(p, mu, c.c)
 
+    search = None
     try:
-        if cfg.optimizer == "nelder_mead":
-            simplex = np.vstack([x0] + [x0 + 0.25 * e for e in np.eye(c.num_features)])
-            optimize.minimize(
-                objective,
-                x0,
-                method="Nelder-Mead",
-                options={
-                    "initial_simplex": simplex,
-                    "xatol": 1e-9,
-                    "fatol": 1e-14,
-                    "maxfev": cfg.max_outer_evals,
-                },
-            )
-        else:
-            optimize.minimize(
-                objective,
-                x0,
-                method="BFGS",
-                jac=_central_difference_gradient(objective),
-                options={"gtol": 1e-12, "maxiter": cfg.max_outer_evals},
-            )
-    except _Converged:
+        search = optimize.minimize(
+            objective,
+            x0,
+            method="BFGS",
+            jac=True,
+            options={"gtol": _GRADIENT_TOLERANCE, "maxiter": cfg.max_outer_evals},
+        )
+    except _StopSearch:
         pass
 
     report.final_kl = best["kl"]
-    report.converged = best["kl"] <= cfg.kl_tolerance
-    report.message = (
-        "kl tolerance reached" if report.converged else "evaluation budget exhausted"
-    )
+    if best["kl"] <= cfg.kl_tolerance:
+        report.converged, report.message = True, "kl tolerance reached"
+    elif search is None:
+        report.message = "evaluation budget exhausted"
+    elif search.success:
+        report.converged, report.message = True, "stationary point"
+    else:
+        report.message = f"stalled: {search.message}"
     return SurplusModel(best["lam"]), report
-
-
-def _central_difference_gradient(f):
-    def grad(lam: np.ndarray) -> np.ndarray:
-        lam = np.asarray(lam, dtype=np.float64)
-        out = np.empty_like(lam)
-        for i in range(lam.size):
-            step = 1e-5 * (1.0 + abs(lam[i]))
-            hi = lam.copy()
-            lo = lam.copy()
-            hi[i] += step
-            lo[i] -= step
-            out[i] = (f(hi) - f(lo)) / (2.0 * step)
-        return out
-
-    return grad
 
 
 def load_covariates(path, spec: MarketSpec) -> CovariateBasis:

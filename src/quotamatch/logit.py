@@ -18,16 +18,12 @@ gamma * (total worker mass + total slot mass); see
 
 from __future__ import annotations
 
-import abc
-
 import numpy as np
 from scipy.special import xlogy
 
 from .market import MarketSpec, Matching
 
 __all__ = [
-    "ErrorModel",
-    "GumbelLogitModel",
     "g_value",
     "g_gradient",
     "h_value",
@@ -43,57 +39,24 @@ EULER_GAMMA = float(np.euler_gamma)
 MASS_FLOOR = 1e-300
 
 
-class ErrorModel(abc.ABC):
-    """One side's choice-value model over counterpart types plus outside.
-
-    Implementations must be strictly increasing and strictly convex in the
-    systematic utilities, with strictly positive gradients whose rows sum to
-    one (full support). Rows index own types; columns index counterpart types,
-    with the outside option prepended as column 0.
-    """
-
-    @abc.abstractmethod
-    def value_rows(self, systematic: np.ndarray) -> np.ndarray:
-        """Per-type expected maximum over counterpart utilities and outside 0."""
-
-    @abc.abstractmethod
-    def gradient_rows(self, systematic: np.ndarray) -> np.ndarray:
-        """Per-type choice fractions, shape (rows, cols + 1), outside first."""
-
-    @abc.abstractmethod
-    def conjugate_rows(self, shares: np.ndarray) -> np.ndarray:
-        """Per-type convex conjugate evaluated at choice fractions."""
+def _logsumexp_rows(u: np.ndarray) -> np.ndarray:
+    # Per-row log(1 + sum exp(u)), the outside option being the implicit 0.
+    # Shift by the row max (including that zero) so the exponentials never
+    # overflow; underflow is harmless.
+    hi = np.maximum(u.max(axis=1), 0.0)
+    with np.errstate(under="ignore"):
+        total = np.exp(-hi) + np.exp(u - hi[:, None]).sum(axis=1)
+    return hi + np.log(total)
 
 
-class GumbelLogitModel(ErrorModel):
-    """Closed forms for iid standard Gumbel errors (location 0, scale 1)."""
-
-    def value_rows(self, systematic: np.ndarray) -> np.ndarray:
-        u = np.asarray(systematic, dtype=np.float64)
-        # Shift by the row max (including the implicit zero of the outside
-        # option) so the exponentials never overflow; underflow is harmless.
-        hi = np.maximum(u.max(axis=1), 0.0)
-        with np.errstate(under="ignore"):
-            total = np.exp(-hi) + np.exp(u - hi[:, None]).sum(axis=1)
-        return hi + np.log(total)
-
-    def gradient_rows(self, systematic: np.ndarray) -> np.ndarray:
-        u = np.asarray(systematic, dtype=np.float64)
-        hi = np.maximum(u.max(axis=1), 0.0)
-        with np.errstate(under="ignore"):
-            outside = np.exp(-hi)
-            inside = np.exp(u - hi[:, None])
-        total = outside + inside.sum(axis=1)
-        return np.column_stack([outside, inside]) / total[:, None]
-
-    def conjugate_rows(self, shares: np.ndarray) -> np.ndarray:
-        p = np.asarray(shares, dtype=np.float64)
-        if np.any(p <= 0.0):
-            raise ValueError("conjugate requires strictly positive choice fractions")
-        return _xlog_share(p, np.ones(p.shape[0])).sum(axis=1)
-
-
-_DEFAULT_MODEL = GumbelLogitModel()
+def _softmax_rows(u: np.ndarray) -> np.ndarray:
+    # Per-row choice fractions, shape (rows, cols + 1), outside option first.
+    hi = np.maximum(u.max(axis=1), 0.0)
+    with np.errstate(under="ignore"):
+        outside = np.exp(-hi)
+        inside = np.exp(u - hi[:, None])
+    total = outside + inside.sum(axis=1)
+    return np.column_stack([outside, inside]) / total[:, None]
 
 
 def _check_block(block: np.ndarray, spec: MarketSpec, name: str) -> np.ndarray:
@@ -107,35 +70,35 @@ def _check_block(block: np.ndarray, spec: MarketSpec, name: str) -> np.ndarray:
     return arr
 
 
-def g_value(U, spec: MarketSpec, model: ErrorModel = _DEFAULT_MODEL) -> float:
+def g_value(U, spec: MarketSpec) -> float:
     """Worker-side aggregate value: sum over types of mass times the expected
     maximum over slot types and the outside option."""
     arr = _check_block(U, spec, "U")
-    return float(spec.n @ model.value_rows(arr))
+    return float(spec.n @ _logsumexp_rows(arr))
 
 
-def g_gradient(U, spec: MarketSpec, model: ErrorModel = _DEFAULT_MODEL) -> np.ndarray:
+def g_gradient(U, spec: MarketSpec) -> np.ndarray:
     """Worker-side demand, shape (N, M + 1) with the outside option first.
 
     Row x sums to the worker mass n_x and every entry is strictly positive.
     """
     arr = _check_block(U, spec, "U")
-    return spec.n[:, None] * model.gradient_rows(arr)
+    return spec.n[:, None] * _softmax_rows(arr)
 
 
-def h_value(V, spec: MarketSpec, model: ErrorModel = _DEFAULT_MODEL) -> float:
+def h_value(V, spec: MarketSpec) -> float:
     """Slot-side aggregate value, the mirror image of :func:`g_value`."""
     arr = _check_block(V, spec, "V")
-    return float(spec.m @ model.value_rows(arr.T))
+    return float(spec.m @ _logsumexp_rows(arr.T))
 
 
-def h_gradient(V, spec: MarketSpec, model: ErrorModel = _DEFAULT_MODEL) -> np.ndarray:
+def h_gradient(V, spec: MarketSpec) -> np.ndarray:
     """Slot-side demand, shape (N + 1, M) with the outside option as row 0.
 
     Column y sums to the slot mass m_y.
     """
     arr = _check_block(V, spec, "V")
-    return (spec.m[:, None] * model.gradient_rows(arr.T)).T
+    return (spec.m[:, None] * _softmax_rows(arr.T)).T
 
 
 def matching_value(mu, phi, spec: MarketSpec):

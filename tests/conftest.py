@@ -80,3 +80,46 @@ def random_market(rng: np.random.Generator, max_types: int = 5, max_regions: int
         np.full(L, np.inf), np.zeros(L),
     )
     return spec, SurplusMatrix(phi)
+
+
+def estimation_market(
+    rng: np.random.Generator,
+    num_workers: int,
+    num_slots: int,
+    num_regions: int,
+    num_features: int,
+    noise: float = 0.0,
+):
+    """Estimation problem with known coefficients (1.0, -0.5, 0.25, 0.75)[:S].
+
+    Covariates are a constant plus standard normals, taxes are drawn from
+    [-0.5, 0.5], and the observed matching is the tax-fixed equilibrium at the
+    truth with each matched mass scaled by an independent 1 + U(-noise, noise).
+    Returns (spec, covariates, taxes, observed, truth).
+    """
+    from quotamatch.ae import solve_ae
+    from quotamatch.estimation import CovariateBasis, SurplusModel, surplus_from_covariates
+    from quotamatch.market import Matching
+
+    regions = tuple(f"z{k + 1}" for k in range(num_regions))
+    slot_types = tuple(f"y{j + 1}" for j in range(num_slots))
+    spec = MarketSpec(
+        tuple(f"x{i + 1}" for i in range(num_workers)),
+        slot_types,
+        regions,
+        np.full(num_workers, 1.0 / num_workers),
+        np.full(num_slots, 1.2 / num_slots),
+        {y: regions[j * num_regions // num_slots] for j, y in enumerate(slot_types)},
+        np.full(num_regions, np.inf),
+        np.zeros(num_regions),
+    )
+    shape = (num_workers, num_slots)
+    c = CovariateBasis(
+        np.concatenate([np.ones(shape + (1,)), rng.normal(size=shape + (num_features - 1,))], axis=2)
+    )
+    truth = np.array([1.0, -0.5, 0.25, 0.75][:num_features])
+    taxes = rng.uniform(-0.5, 0.5, size=num_regions)
+    mu = solve_ae(spec, surplus_from_covariates(SurplusModel(truth), c), taxes).matching
+    scale = 1.0 + noise * rng.uniform(-1.0, 1.0, size=mu.matched.shape)
+    observed = Matching(mu.matched * scale, mu.unmatched_workers, mu.unmatched_slots)
+    return spec, c, taxes, observed, truth

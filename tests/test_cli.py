@@ -1,3 +1,4 @@
+import functools
 import json
 import subprocess
 import sys
@@ -5,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import estimation_market
 from quotamatch.cli import main
 from quotamatch.market import _write_json, load_result, save_market
 
@@ -106,6 +108,59 @@ def test_estimate_round_trip(tmp_path):
     fit = json.loads(out.read_text())
     assert abs(fit["coefficients"][0] - 1.0) < 1e-3
     assert abs(fit["coefficients"][1] + 0.5) < 1e-3
+
+
+def _estimate_args(tmp_path, spec, c, observed, taxes=None):
+    """Write the files of an `estimate` run and return its arguments."""
+    market = tmp_path / "market.json"
+    save_market(spec, market)
+    obs_path = tmp_path / "observed.json"
+    _write_json(
+        {
+            "mu": {
+                "matched": [list(r) for r in observed.matched],
+                "unmatched_workers": list(observed.unmatched_workers),
+                "unmatched_slots": list(observed.unmatched_slots),
+            }
+        },
+        obs_path,
+    )
+    cov_path = tmp_path / "cov.json"
+    _write_json({"S": c.num_features, "c": [[list(cell) for cell in row] for row in c.c]}, cov_path)
+    args = [
+        "estimate", "--market", str(market), "--observed", str(obs_path),
+        "--covariates", str(cov_path), "--out", str(tmp_path / "fit.json"),
+    ]
+    if taxes is not None:
+        taxes_path = tmp_path / "taxes.json"
+        _write_json({"w": list(taxes)}, taxes_path)
+        args += ["--taxes", str(taxes_path)]
+    return args
+
+
+def test_estimate_optimal_fit_of_noisy_data_exits_zero(tmp_path):
+    # 5% noise: no coefficients reproduce the data, so the fit ends at a
+    # stationary point with a positive KL; that is a converged fit.
+    rng = np.random.default_rng(3)
+    spec, c, taxes, noisy, _ = estimation_market(rng, 10, 12, 3, 3, noise=0.05)
+    code = main(_estimate_args(tmp_path, spec, c, noisy, taxes))
+    assert code == 0
+    fit = json.loads((tmp_path / "fit.json").read_text())["fit"]
+    assert fit["converged"] and fit["message"] == "stationary point"
+    assert fit["final_kl"] > 1e-6
+
+
+def test_estimate_budget_exhausted_exits_two(tmp_path, monkeypatch):
+    import quotamatch.cli as cli
+
+    small_budget = functools.partial(cli.EstimationConfig, max_outer_evals=3)
+    monkeypatch.setattr(cli, "EstimationConfig", small_budget)
+    spec, c, taxes, observed, _ = estimation_market(np.random.default_rng(4), 4, 6, 2, 2)
+    code = main(_estimate_args(tmp_path, spec, c, observed, taxes))
+    assert code == 2
+    fit = json.loads((tmp_path / "fit.json").read_text())["fit"]
+    assert not fit["converged"]
+    assert fit["n_evals"] == 3 and fit["message"] == "evaluation budget exhausted"
 
 
 def test_experiment_csv_shape_and_determinism(tmp_path):
@@ -300,6 +355,23 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["solve-eae", "--market", "missing.json", "--phi", "x", "--out", "y"]) == 1
     assert main(["no-such-command"]) == 1
     assert main(["solve-eae", "--bogus-flag", "1"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["experiment", "--seeds", "1", "--floors", "0.1:0.4:0"],
+        ["bench", "--worker-types", "4", "--regions", "5:5:0", "--trials", "1"],
+        ["experiment", "--seeds", "1", "--floors", "0.4:0.1:0.1"],
+    ],
+    ids=["experiment-zero-step", "bench-zero-step", "experiment-descending"],
+)
+def test_bad_range_exits_one(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: range") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_out_of_range_surplus_exits_one(tmp_path, single_pair, capsys):

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from conftest import estimation_market
 from quotamatch.ae import solve_ae
 from quotamatch.estimation import (
     CovariateBasis,
     EstimationConfig,
     SurplusModel,
+    _kl_gradient,
+    _pair_vector,
     estimate,
     kl_divergence,
     log_likelihood,
@@ -157,7 +160,7 @@ class TestEstimate:
             observed.unmatched_workers,
             observed.unmatched_slots,
         )
-        model, report = estimate(noisy, c, w, spec)
+        _, report = estimate(noisy, c, w, spec)
         sim_truth = solve_ae(spec, surplus_from_covariates(truth, c), w).matching
         kl_truth = kl_divergence(noisy, sim_truth)
         assert report.final_kl <= kl_truth + 1e-12
@@ -170,9 +173,43 @@ class TestEstimate:
 
     def test_fd_bfgs_variant_recovers(self, synthetic):
         spec, c, truth, w, observed = synthetic
-        cfg = EstimationConfig(optimizer="finite_difference_bfgs", kl_tolerance=1e-12)
+        cfg = EstimationConfig(kl_tolerance=1e-12)
         model, report = estimate(observed, c, w, spec, cfg)
         assert np.abs(model.coefficients - truth.coefficients).max() < 1e-3
+        assert report.final_kl <= 1e-12
+
+    def test_kl_gradient_matches_central_differences(self):
+        rng = np.random.default_rng(5)
+        for _ in range(4):
+            spec, c, w, observed, truth = estimation_market(rng, 10, 12, 3, 3)
+            p = _pair_vector(observed) / observed.total()
+            lam = truth + rng.normal(scale=0.3, size=truth.shape)
+
+            def kl(x):
+                sim = solve_ae(spec, surplus_from_covariates(SurplusModel(x), c), w).matching
+                return kl_divergence(observed, sim)
+
+            sim = solve_ae(spec, surplus_from_covariates(SurplusModel(lam), c), w).matching
+            fd = [(kl(lam + 1e-6 * e) - kl(lam - 1e-6 * e)) / 2e-6 for e in np.eye(lam.size)]
+            assert np.abs(_kl_gradient(p, sim, c.c) - fd).max() <= 1e-8
+
+    def test_noisy_data_stops_at_stationary_point(self):
+        rng = np.random.default_rng(3)
+        spec, c, w, noisy, truth = estimation_market(rng, 10, 12, 3, 3, noise=0.05)
+        _, report = estimate(noisy, c, w, spec)
+        assert report.converged
+        assert report.message == "stationary point"
+        assert report.n_evals < 100
+        sim_truth = solve_ae(spec, surplus_from_covariates(SurplusModel(truth), c), w).matching
+        assert report.final_kl <= kl_divergence(noisy, sim_truth)
+
+    def test_budget_exhausted_is_not_converged(self, synthetic):
+        spec, c, _, w, observed = synthetic
+        _, report = estimate(observed, c, w, spec, EstimationConfig(max_outer_evals=3))
+        assert not report.converged
+        assert report.message == "evaluation budget exhausted"
+        assert report.n_evals == 3
+        assert len(report.kl_trace) == 3
 
     def test_rejects_zero_observed_cells(self, synthetic):
         spec, c, _, w, _ = synthetic
