@@ -31,8 +31,7 @@ from .ae import IpfpConfig, solve_ae
 from .eae import EaeConfig, InfeasibleQuotaError, solve_eae, verify_kkt
 from .estimation import EstimationConfig, EstimationError, estimate, load_covariates
 from .market import (
-    MarketFileError,
-    SchemaViolationError,
+    UnknownRegionError,
     load_market,
     load_matching,
     load_result,
@@ -308,7 +307,8 @@ def main(argv=None) -> int:
         return EXIT_OK if e.code == 0 else EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except (MarketFileError, SchemaViolationError, FileNotFoundError, ValueError) as e:
+    except (ValueError, UnknownRegionError, FileNotFoundError) as e:
+        # MarketFileError and SchemaViolationError are ValueErrors.
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except InfeasibleQuotaError as e:

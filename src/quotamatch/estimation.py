@@ -31,8 +31,7 @@ from .market import (
     Matching,
     MarketSpec,
     SurplusMatrix,
-    _read_json,
-    _require,
+    _document,
     as_tax_array,
 )
 
@@ -288,12 +287,12 @@ def estimate(
 
 def load_covariates(path, spec: MarketSpec) -> CovariateBasis:
     """Load a covariate file: JSON with integer `S` and array `c` (N x M x S)."""
-    data = _read_json(path)
-    s = int(_require(data, "S", path))
-    c = CovariateBasis(np.asarray(_require(data, "c", path), dtype=np.float64))
-    if c.c.shape != (spec.num_workers, spec.num_slots, s):
-        raise ValueError(
-            f"{path}: covariate array shape {c.c.shape} does not match "
-            f"({spec.num_workers}, {spec.num_slots}, {s})"
-        )
-    return c
+    with _document(path) as data:
+        s = int(data["S"])
+        c = CovariateBasis(np.asarray(data["c"], dtype=np.float64))
+        if c.c.shape != (spec.num_workers, spec.num_slots, s):
+            raise ValueError(
+                f"covariate array shape {c.c.shape} does not match "
+                f"({spec.num_workers}, {spec.num_slots}, {s})"
+            )
+        return c

@@ -13,6 +13,7 @@ numeric data is indexed positionally so results are deterministic.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -55,6 +56,9 @@ class SchemaViolationError(ValueError):
 
 class UnknownRegionError(KeyError):
     """A region identifier does not exist in the market."""
+
+    def __str__(self) -> str:
+        return f"unknown region {self.args[0]!r}"
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -410,51 +414,15 @@ def region_mass(mu: Matching, region: str, spec: MarketSpec) -> float:
 # ---------------------------------------------------------------------------
 # File formats
 #
-# Market files and result files are single JSON documents. Floats are written
-# with 17 significant digits so that a load of a save reproduces every numeric
-# field bit for bit. An absent key in `upper` means an infinite ceiling; an
-# absent key in `lower` means a zero floor.
+# Market files and result files are single JSON documents, written as compact
+# JSON with floats in their shortest round-trip form, so a load of a save
+# reproduces every numeric field bit for bit. An absent key in `upper` means an
+# infinite ceiling; an absent key in `lower` means a zero floor.
 # ---------------------------------------------------------------------------
 
 
-def _fmt_float(x: float) -> str:
-    if not np.isfinite(x):
-        raise ValueError("cannot serialize a non-finite number")
-    return format(float(x), ".17g")
-
-
-def _dump_json(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = ",\n".join(
-            f"{pad}  {json.dumps(str(k))}: {_dump_json(v, indent + 1)}" for k, v in obj.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        flat = all(not isinstance(v, (dict, list, tuple)) for v in obj)
-        if flat:
-            return "[" + ", ".join(_dump_json(v) for v in obj) + "]"
-        items = ",\n".join(f"{pad}  {_dump_json(v, indent + 1)}" for v in obj)
-        return "[\n" + items + "\n" + pad + "]"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
-    raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
 def _write_json(obj: dict, path) -> None:
-    Path(path).write_text(_dump_json(obj) + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(obj, allow_nan=False) + "\n", encoding="utf-8")
 
 
 def _read_json(path) -> dict:
@@ -468,19 +436,33 @@ def _read_json(path) -> dict:
     return data
 
 
-def _require(data: dict, key: str, path) -> object:
-    if key not in data:
-        raise SchemaViolationError(f"{path}: missing required key {key!r}")
-    return data[key]
+@contextmanager
+def _document(path):
+    """Read the JSON object in ``path`` for the ``with`` block to parse.
+
+    A missing key or a field of the wrong type surfaces deep in the parse as a
+    KeyError, TypeError, AttributeError or ValueError; each is re-raised here,
+    once for every reader, as a SchemaViolationError that names the file. An
+    UnknownRegionError is a KeyError whose message already says what is wrong.
+    """
+    data = _read_json(path)
+    try:
+        yield data
+    except (UnknownRegionError, ValueError) as e:
+        raise SchemaViolationError(f"{path}: {e}") from None
+    except KeyError as e:
+        raise SchemaViolationError(f"{path}: missing required key {e}") from None
+    except (TypeError, AttributeError) as e:
+        raise SchemaViolationError(f"{path}: a field has the wrong type: {e}") from None
 
 
-def _mass_vector(raw: object, ids: Sequence[str], what: str, path) -> np.ndarray:
+def _mass_vector(raw: object, ids: Sequence[str], what: str) -> np.ndarray:
     if not isinstance(raw, dict):
-        raise SchemaViolationError(f"{path}: {what} must map type identifiers to numbers")
+        raise SchemaViolationError(f"{what} must map type identifiers to numbers")
     out = np.empty(len(ids))
     for i, t in enumerate(ids):
         if t not in raw:
-            raise SchemaViolationError(f"{path}: {what} is missing an entry for {t!r}")
+            raise SchemaViolationError(f"{what} is missing an entry for {t!r}")
         out[i] = float(raw[t])
     return out
 
@@ -506,58 +488,49 @@ def load_market(path) -> MarketSpec:
     """Load and fully validate a market spec file.
 
     Raises MarketFileError on malformed JSON and SchemaViolationError when a
-    required field is missing or a market invariant is violated.
+    required field is missing or has the wrong type, or when a market
+    invariant is violated.
     """
-    data = _read_json(path)
-    worker_types = [str(t) for t in _require(data, "worker_types", path)]
-    slot_types = [str(t) for t in _require(data, "slot_types", path)]
-    regions = [str(t) for t in _require(data, "regions", path)]
-    n = _mass_vector(_require(data, "n", path), worker_types, "n", path)
-    m = _mass_vector(_require(data, "m", path), slot_types, "m", path)
-    region_raw = _require(data, "region_of", path)
-    if not isinstance(region_raw, dict):
-        raise SchemaViolationError(f"{path}: region_of must be an object")
-    for y in slot_types:
-        if y not in region_raw:
-            raise SchemaViolationError(f"{path}: region_of is missing an entry for {y!r}")
-    upper_raw = data.get("upper", {})
-    lower_raw = data.get("lower", {})
-    upper = np.full(len(regions), np.inf)
-    lower = np.zeros(len(regions))
-    index = {z: i for i, z in enumerate(regions)}
-    for z, v in upper_raw.items():
-        if z not in index:
-            raise SchemaViolationError(f"{path}: upper quota for unknown region {z!r}")
-        upper[index[z]] = float(v)
-    for z, v in lower_raw.items():
-        if z not in index:
-            raise SchemaViolationError(f"{path}: lower quota for unknown region {z!r}")
-        lower[index[z]] = float(v)
-    spec = MarketSpec(worker_types, slot_types, regions, n, m, region_raw, upper, lower)
-    report = validate_market(spec)
-    if not report.ok:
-        raise SchemaViolationError(f"{path}: {report}")
-    return spec
+    with _document(path) as data:
+        worker_types = [str(t) for t in data["worker_types"]]
+        slot_types = [str(t) for t in data["slot_types"]]
+        regions = [str(t) for t in data["regions"]]
+        n = _mass_vector(data["n"], worker_types, "n")
+        m = _mass_vector(data["m"], slot_types, "m")
+        region_raw = data["region_of"]
+        if not isinstance(region_raw, dict):
+            raise SchemaViolationError("region_of must be an object")
+        for y in slot_types:
+            if y not in region_raw:
+                raise SchemaViolationError(f"region_of is missing an entry for {y!r}")
+        upper = np.full(len(regions), np.inf)
+        lower = np.zeros(len(regions))
+        index = {z: i for i, z in enumerate(regions)}
+        for z, v in data.get("upper", {}).items():
+            if z not in index:
+                raise SchemaViolationError(f"upper quota for unknown region {z!r}")
+            upper[index[z]] = float(v)
+        for z, v in data.get("lower", {}).items():
+            if z not in index:
+                raise SchemaViolationError(f"lower quota for unknown region {z!r}")
+            lower[index[z]] = float(v)
+        spec = MarketSpec(worker_types, slot_types, regions, n, m, region_raw, upper, lower)
+        report = validate_market(spec)
+        if not report.ok:
+            raise SchemaViolationError(str(report))
+        return spec
 
 
 def load_surplus(path, spec: MarketSpec) -> SurplusMatrix:
     """Load a surplus file: JSON object with key `phi` (row-major N x M)."""
-    data = _read_json(path)
-    phi = np.asarray(_require(data, "phi", path), dtype=np.float64)
-    try:
-        return SurplusMatrix(as_surplus_array(phi, spec))
-    except SchemaViolationError as e:
-        raise SchemaViolationError(f"{path}: {e}") from None
+    with _document(path) as data:
+        return SurplusMatrix(as_surplus_array(data["phi"], spec))
 
 
 def load_taxes(path, spec: MarketSpec) -> TaxScheme:
     """Load a tax file: JSON object with key `w` mapping region to tax."""
-    data = _read_json(path)
-    raw = _require(data, "w", path)
-    try:
-        return TaxScheme(as_tax_array(raw, spec))
-    except SchemaViolationError as e:
-        raise SchemaViolationError(f"{path}: {e}") from None
+    with _document(path) as data:
+        return TaxScheme(as_tax_array(data["w"], spec))
 
 
 def save_result(result: EquilibriumResult, path, spec: MarketSpec, welfare=None) -> None:
@@ -571,12 +544,12 @@ def save_result(result: EquilibriumResult, path, spec: MarketSpec, welfare=None)
     diag = result.diagnostics
     doc = {
         "mu": {
-            "matched": [list(row) for row in mu.matched],
-            "unmatched_workers": list(mu.unmatched_workers),
-            "unmatched_slots": list(mu.unmatched_slots),
+            "matched": mu.matched.tolist(),
+            "unmatched_workers": mu.unmatched_workers.tolist(),
+            "unmatched_slots": mu.unmatched_slots.tolist(),
         },
-        "U": [list(row) for row in result.utilities.U],
-        "V": [list(row) for row in result.utilities.V],
+        "U": result.utilities.U.tolist(),
+        "V": result.utilities.V.tolist(),
         "w": {z: result.taxes.w[i] for i, z in enumerate(spec.regions)},
         "diagnostics": {
             "dual_value": diag.dual_value,
@@ -595,42 +568,43 @@ def save_result(result: EquilibriumResult, path, spec: MarketSpec, welfare=None)
     _write_json(doc, path)
 
 
-def _parse_matching(data: dict, spec: MarketSpec, path) -> Matching:
-    mu_raw = _require(data, "mu", path)
+def _parse_matching(data: dict, spec: MarketSpec) -> Matching:
+    mu_raw = data["mu"]
     matching = Matching(
-        np.asarray(_require(mu_raw, "matched", path), dtype=np.float64),
-        np.asarray(_require(mu_raw, "unmatched_workers", path), dtype=np.float64),
-        np.asarray(_require(mu_raw, "unmatched_slots", path), dtype=np.float64),
+        np.asarray(mu_raw["matched"], dtype=np.float64),
+        np.asarray(mu_raw["unmatched_workers"], dtype=np.float64),
+        np.asarray(mu_raw["unmatched_slots"], dtype=np.float64),
     )
     if matching.matched.shape != (spec.num_workers, spec.num_slots):
-        raise SchemaViolationError(f"{path}: matching shape does not match the market")
+        raise SchemaViolationError("matching shape does not match the market")
     return matching
 
 
 def load_matching(path, spec: MarketSpec) -> Matching:
     """Load a matching file: JSON with `mu` in the result layout (an observed
     matching, or any result file)."""
-    return _parse_matching(_read_json(path), spec, path)
+    with _document(path) as data:
+        return _parse_matching(data, spec)
 
 
 def load_result(path, spec: MarketSpec) -> EquilibriumResult:
     """Load an equilibrium result file written by :func:`save_result`."""
-    data = _read_json(path)
-    matching = _parse_matching(data, spec, path)
-    utilities = SystematicUtilities(
-        np.asarray(_require(data, "U", path), dtype=np.float64),
-        np.asarray(_require(data, "V", path), dtype=np.float64),
-    )
-    taxes = TaxScheme(as_tax_array(_require(data, "w", path), spec))
-    diag_raw = _require(data, "diagnostics", path)
-    diag = Diagnostics(
-        dual_value=float(diag_raw["dual_value"]),
-        primal_value=float(diag_raw["primal_value"]),
-        duality_gap=float(diag_raw["duality_gap"]),
-        max_kkt_residual=float(diag_raw["max_kkt_residual"]),
-        inner_iterations=int(diag_raw["inner_iterations"]),
-        outer_iterations=int(diag_raw["outer_iterations"]),
-        converged=bool(diag_raw["converged"]),
-        tolerances=diag_raw.get("tolerances"),
-    )
-    return EquilibriumResult(matching, utilities, taxes, diag)
+    with _document(path) as data:
+        matching = _parse_matching(data, spec)
+        utilities = SystematicUtilities(
+            np.asarray(data["U"], dtype=np.float64),
+            np.asarray(data["V"], dtype=np.float64),
+        )
+        taxes = TaxScheme(as_tax_array(data["w"], spec))
+        diag_raw = data["diagnostics"]
+        diag = Diagnostics(
+            dual_value=float(diag_raw["dual_value"]),
+            primal_value=float(diag_raw["primal_value"]),
+            duality_gap=float(diag_raw["duality_gap"]),
+            max_kkt_residual=float(diag_raw["max_kkt_residual"]),
+            inner_iterations=int(diag_raw["inner_iterations"]),
+            outer_iterations=int(diag_raw["outer_iterations"]),
+            converged=bool(diag_raw["converged"]),
+            tolerances=diag_raw.get("tolerances"),
+        )
+        return EquilibriumResult(matching, utilities, taxes, diag)

@@ -48,11 +48,21 @@ class SplitMix64:
         return float(np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2))
 
     def normals(self, shape) -> np.ndarray:
-        """Array of standard normals drawn in row-major order."""
-        out = np.empty(int(np.prod(shape)), dtype=np.float64)
-        for i in range(out.size):
-            out[i] = self.next_normal()
-        return out.reshape(shape)
+        """Array of standard normals drawn in row-major order.
+
+        Bit-identical to one ``next_normal`` per entry. The k-th state after
+        ``s`` is ``s + k * GOLDEN mod 2**64``, so every draw goes through the
+        mixer at once as one uint64 array (array arithmetic wraps silently).
+        """
+        size = int(np.prod(shape))
+        z = np.arange(1, 2 * size + 1, dtype=np.uint64) * _GOLDEN + self._state
+        self._state = (self._state + 2 * size * _GOLDEN) & _MASK64
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+        z ^= z >> 31
+        u1 = ((z[0::2] >> 11) + 1) * _INV_2_53
+        u2 = (z[1::2] >> 11) * _INV_2_53
+        return (np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)).reshape(shape)
 
 
 def derive_seed(master: int, label: str) -> int:

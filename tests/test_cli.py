@@ -374,6 +374,25 @@ def test_bad_range_exits_one(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve-ae", "--taxes", "taxes.json"],
+        ["counterfactual", "--floors", "0.05", "--urban-region", "zz"],
+    ],
+    ids=["solve-ae-taxes", "counterfactual-urban-region"],
+)
+def test_unknown_region_exits_one(example_files, tmp_path, monkeypatch, capsys, argv):
+    _, market, surplus = example_files
+    monkeypatch.chdir(tmp_path)
+    _write_json({"w": {"zz": 1.0}}, "taxes.json")
+    code = main(argv + ["--market", str(market), "--phi", str(surplus), "--out", "out"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "unknown region 'zz'" in err
+    assert "Traceback" not in err
+
+
 def test_out_of_range_surplus_exits_one(tmp_path, single_pair, capsys):
     market = tmp_path / "market.json"
     save_market(single_pair, market)

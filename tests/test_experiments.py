@@ -44,6 +44,16 @@ class TestRng:
         assert abs(sample.mean()) < 0.01
         assert abs(sample.std() - 1.0) < 0.01
 
+    @pytest.mark.parametrize("seed", [0, 42, 2**63 + 7, 2**64 - 1])
+    @pytest.mark.parametrize("shape", [(0,), (1,), (7, 3), (10, 6)])
+    def test_normals_equal_scalar_draws_bit_for_bit(self, seed, shape):
+        vector, scalar = SplitMix64(seed), SplitMix64(seed)
+        got = vector.normals(shape)
+        want = np.array([scalar.next_normal() for _ in range(int(np.prod(shape)))])
+        assert got.shape == shape
+        assert got.tobytes() == want.tobytes()
+        assert vector.next_uint64() == scalar.next_uint64()
+
     def test_derive_seed_distinguishes_labels(self):
         a = derive_seed(0, "market/1")
         b = derive_seed(0, "market/2")

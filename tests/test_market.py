@@ -1,6 +1,12 @@
+import json
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from quotamatch.estimation import load_covariates
 from quotamatch.market import (
     MarketFileError,
     MarketSpec,
@@ -9,10 +15,14 @@ from quotamatch.market import (
     SurplusMatrix,
     TaxScheme,
     UnknownRegionError,
+    _read_json,
+    _write_json,
     load_market,
+    load_result,
     region_mass,
     region_masses,
     save_market,
+    save_result,
     validate_market,
 )
 from quotamatch.ae import solve_ae
@@ -134,12 +144,34 @@ def test_roundtrip_is_exact(tmp_path, example_market):
 
 
 def test_roundtrip_exact_on_awkward_floats(tmp_path):
-    spec = make_spec(upper=(1 / 3, np.inf), lower=(0.1 + 2e-17, 0.05))
     path = tmp_path / "market.json"
-    save_market(spec, path)
-    loaded = load_market(path)
-    assert loaded.upper.tobytes() == spec.upper.tobytes()
-    assert loaded.lower.tobytes() == spec.lower.tobytes()
+    for upper, lower in (
+        ((1 / 3, np.inf), (0.1 + 2e-17, 0.05)),
+        ((1.7976931348623157e308, np.inf), (5e-324, 0.05)),
+    ):
+        spec = make_spec(upper=upper, lower=lower)
+        save_market(spec, path)
+        loaded = load_market(path)
+        assert loaded.upper.tobytes() == spec.upper.tobytes()
+        assert loaded.lower.tobytes() == spec.lower.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False)))
+@example([-0.0, 0.0, 5e-324, -1.7976931348623157e308, 0.1 + 2e-17])
+def test_codec_roundtrips_finite_floats_bit_for_bit(tmp_path_factory, values):
+    path = tmp_path_factory.getbasetemp() / "floats.json"
+    _write_json({"x": values}, path)
+    got = _read_json(path)["x"]
+    assert np.array(got, dtype=np.float64).tobytes() == np.array(values, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_codec_refuses_non_finite_floats(tmp_path, bad):
+    path = tmp_path / "bad.json"
+    with pytest.raises(ValueError):
+        _write_json({"x": [1.0, bad]}, path)
+    assert not path.exists()
 
 
 def test_result_roundtrip_is_bit_exact(tmp_path, example_market):
@@ -218,3 +250,36 @@ def test_generated_markets_validate():
         assert validate_market(spec).ok
     spec, _ = gen_scaling_market(4, 3, seed=1)
     assert validate_market(spec).ok
+
+
+MALFORMED = {
+    "market-upper-list": ("market", lambda doc: doc.update(upper=[1, 2])),
+    "market-n-null": ("market", lambda doc: doc.update(n={"x1": None})),
+    "market-worker-types-int": ("market", lambda doc: doc.update(worker_types=5)),
+    "result-no-dual-value": ("result", lambda doc: doc["diagnostics"].pop("dual_value")),
+    "result-mu-int": ("result", lambda doc: doc.update(mu=5)),
+    "result-diagnostics-list": ("result", lambda doc: doc.update(diagnostics=[1])),
+    "covariates-s-null": ("covariates", lambda doc: doc.update(S=None)),
+}
+
+
+@pytest.mark.parametrize("kind, corrupt", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_document_is_a_schema_violation_naming_the_file(tmp_path, kind, corrupt):
+    spec = make_spec(upper=(0.5, 0.4), lower=(0.1, 0.05))
+    path = tmp_path / f"{kind}.json"
+    if kind == "market":
+        save_market(spec, path)
+    elif kind == "result":
+        save_result(solve_ae(spec, SurplusMatrix(np.zeros((2, 3)))), path, spec)
+    else:
+        _write_json({"S": 1, "c": np.ones((2, 3, 1)).tolist()}, path)
+    doc = json.loads(path.read_text())
+    corrupt(doc)
+    path.write_text(json.dumps(doc))
+    load = {
+        "market": load_market,
+        "result": lambda p: load_result(p, spec),
+        "covariates": lambda p: load_covariates(p, spec),
+    }[kind]
+    with pytest.raises(SchemaViolationError, match=re.escape(str(path))):
+        load(path)
