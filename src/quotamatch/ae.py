@@ -14,6 +14,7 @@ population condition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -87,33 +88,30 @@ def build_kernel(phi, taxes, spec: MarketSpec) -> ChooSiowKernel:
     return ChooSiowKernel(np.exp(exponent))
 
 
-def _positive_root(s: np.ndarray, c: np.ndarray) -> np.ndarray:
-    # Positive solution of x**2 + s*x - c = 0, written to avoid cancellation
-    # when s is large.
-    return 2.0 * c / (s + np.sqrt(s * s + 4.0 * c))
+def _ipfp(n, m, kernel, tol, max_iterations, a0=None, b0=None, scale=1.0):
+    """Run the alternating fixed point on the kernel ``kernel * scale``.
 
-
-def _ipfp(n, m, kernel, tol, max_iterations, a0=None, b0=None):
-    """Run the alternating fixed point; supports stacked leading dimensions.
-
+    ``kernel`` is (N, M). With the default scalar ``scale`` this solves one
+    market; a (G, M) ``scale`` solves G markets whose kernels differ by a
+    per-column factor, each half-sweep being one (G, M) x (M, N) product.
     Returns (a, b, iterations, residual) where a*a and b*b are the unmatched
-    masses. The slot side is exact after every sweep by construction, so the
+    masses; residual is the worst population residual over every market.
+    The slot side is exact after every sweep by construction, so the
     residual is dominated by the worker side.
     """
     a = np.sqrt(n / 2.0) if a0 is None else np.array(a0, dtype=np.float64)
     b = np.sqrt(m / 2.0) if b0 is None else np.array(b0, dtype=np.float64)
-    if kernel.ndim > 2 and a.ndim == 1:
-        lead = kernel.shape[:-2]
-        a = np.broadcast_to(a, lead + a.shape).copy()
-        b = np.broadcast_to(b, lead + b.shape).copy()
-    s = (kernel @ b[..., :, None])[..., 0]
+    # Each half-sweep takes the positive root of x**2 + s*x - c = 0 as
+    # 2c / (s + sqrt(s*s + 4c)), which avoids cancellation when s is large.
+    two_n, four_n, two_m, four_m = 2.0 * n, 4.0 * n, 2.0 * m, 4.0 * m
+    s = (b * scale) @ kernel.T
     residual = np.inf
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        a = _positive_root(s, n)
-        t = (a[..., None, :] @ kernel)[..., 0, :]
-        b = _positive_root(t, m)
-        s = (kernel @ b[..., :, None])[..., 0]
+        a = two_n / (s + np.sqrt(s * s + four_n))
+        t = (a @ kernel) * scale
+        b = two_m / (t + np.sqrt(t * t + four_m))
+        s = (b * scale) @ kernel.T
         worker_res = np.abs(a * a + a * s - n).max()
         slot_res = np.abs(b * b + b * t - m).max()
         residual = float(max(worker_res, slot_res))
@@ -202,10 +200,13 @@ def solve_ae(
 
 @dataclass(frozen=True)
 class GridSolution:
-    """Batched tax-fixed equilibria over a grid of tax vectors.
+    """Batched tax-fixed equilibria over a grid of tax vectors, priced.
 
     Arrays are stacked along the grid dimension. ``iterations`` is the shared
-    sweep count at which the slowest grid point met the tolerance.
+    sweep count at which the slowest grid point met the tolerance. Each
+    point's floor-independent prices come with the solve: ``revenue`` is
+    sum mu*w, ``net_agent_surplus`` sum mu*(phi - w) and ``social_welfare``
+    :func:`~quotamatch.logit.matching_value` at phi.
     """
 
     taxes: np.ndarray            # (G, L)
@@ -213,6 +214,9 @@ class GridSolution:
     unmatched_workers: np.ndarray  # (G, N)
     unmatched_slots: np.ndarray    # (G, M)
     region_mass: np.ndarray      # (G, L)
+    revenue: np.ndarray          # (G,)
+    net_agent_surplus: np.ndarray  # (G,)
+    social_welfare: np.ndarray   # (G,)
     iterations: int
     residual: float
     converged: bool
@@ -224,11 +228,16 @@ class GridSolution:
 def solve_ae_grid(
     spec: MarketSpec, phi, tax_grid, cfg: IpfpConfig | None = None
 ) -> GridSolution:
-    """Solve the tax-fixed equilibrium for every tax vector in a grid at once.
+    """Solve and price the tax-fixed equilibrium at every tax vector of a grid.
 
     Grid points are independent, so they are advanced in lockstep with the
     iteration stopping when the worst residual across the grid meets the
-    tolerance; the result is identical to solving each point separately.
+    tolerance; each point agrees with its separate solve to the population
+    tolerance. Every kernel factors as ``base * scale_g`` with
+    ``base = exp((phi - top) / 2) <= 1`` (``top`` the column maxima of phi)
+    and ``scale_g = exp((top - w_g) / 2)``, so one ``base`` serves the whole
+    grid; the exponent of ``scale_g`` is the largest of the point's kernel,
+    so the range check applies to it.
     """
     cfg = cfg or IpfpConfig()
     phi_arr = as_surplus_array(phi, spec)
@@ -236,14 +245,17 @@ def solve_ae_grid(
     if grid.ndim != 2 or grid.shape[1] != spec.num_regions:
         raise ValueError(f"tax grid must have shape (G, {spec.num_regions})")
     w_slot = grid[:, spec.slot_region_index]
-    exponent = 0.5 * (phi_arr[None, :, :] - w_slot[:, None, :])
+    top = phi_arr.max(axis=0)
+    exponent = 0.5 * (top[None, :] - w_slot)
     if exponent.max() > _EXP_LIMIT:
         raise KernelRangeError("kernel exponent out of range somewhere on the tax grid")
-    kernels = np.exp(exponent)
+    base = np.exp(0.5 * (phi_arr - top[None, :]))
+    scale = np.exp(exponent)
     a, b, iterations, residual = _ipfp(
-        spec.n, spec.m, kernels, cfg.population_tolerance, cfg.max_iterations
+        spec.n, spec.m, base, cfg.population_tolerance, cfg.max_iterations, scale=scale
     )
-    matched = a[:, :, None] * b[:, None, :] * kernels
+    matched = a[:, :, None] * base[None, :, :] * (b * scale)[:, None, :]
+    mu = SimpleNamespace(matched=matched, unmatched_workers=a * a, unmatched_slots=b * b)
     per_slot = matched.sum(axis=1)
     masses = np.zeros((grid.shape[0], spec.num_regions))
     for zi, cols in enumerate(spec.region_slot_indices):
@@ -251,9 +263,12 @@ def solve_ae_grid(
     return GridSolution(
         taxes=grid,
         matched=matched,
-        unmatched_workers=a * a,
-        unmatched_slots=b * b,
+        unmatched_workers=mu.unmatched_workers,
+        unmatched_slots=mu.unmatched_slots,
         region_mass=masses,
+        revenue=(matched * w_slot[:, None, :]).sum(axis=(1, 2)),
+        net_agent_surplus=(matched * (phi_arr[None, :, :] - w_slot[:, None, :])).sum(axis=(1, 2)),
+        social_welfare=matching_value(mu, phi_arr, spec),
         iterations=iterations,
         residual=residual,
         converged=residual <= cfg.population_tolerance,

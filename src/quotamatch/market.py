@@ -373,14 +373,15 @@ def validate_market(spec: MarketSpec) -> ValidationReport:
     empty report.
     """
     bad: list[str] = []
-    if np.any(spec.n <= 0):
-        bad.append("worker masses must be strictly positive")
-    if np.any(spec.m <= 0):
-        bad.append("slot masses must be strictly positive")
+    # Negated comparisons, so that a NaN fails them too.
+    if not np.all((spec.n > 0) & (spec.n < np.inf)):
+        bad.append("worker masses must be strictly positive and finite")
+    if not np.all((spec.m > 0) & (spec.m < np.inf)):
+        bad.append("slot masses must be strictly positive and finite")
     for zi, z in enumerate(spec.regions):
-        if spec.lower[zi] < 0:
+        if not spec.lower[zi] >= 0:
             bad.append(f"region {z!r}: lower quota must be nonnegative")
-        if spec.upper[zi] <= 0:
+        if not spec.upper[zi] > 0:
             bad.append(f"region {z!r}: upper quota must be strictly positive")
         if spec.upper[zi] < spec.lower[zi]:
             bad.append(
@@ -425,12 +426,20 @@ def _write_json(obj: dict, path) -> None:
     Path(path).write_text(json.dumps(obj, allow_nan=False) + "\n", encoding="utf-8")
 
 
+def _reject_non_finite(token: str):
+    # json.loads hook for its NaN, Infinity and -Infinity tokens. An infinite
+    # ceiling is written by leaving the region out.
+    raise ValueError(f"non-finite number {token} is not allowed")
+
+
 def _read_json(path) -> dict:
     text = Path(path).read_text(encoding="utf-8")
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_constant=_reject_non_finite)
     except json.JSONDecodeError as e:
         raise MarketFileError(f"{path}: line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except ValueError as e:
+        raise MarketFileError(f"{path}: {e}") from None
     if not isinstance(data, dict):
         raise MarketFileError(f"{path}: top-level value must be an object")
     return data

@@ -34,8 +34,7 @@ import numpy as np
 
 from .ae import GridSolution, IpfpConfig, solve_ae, solve_ae_grid
 from .eae import EaeConfig, solve_eae
-from .logit import matching_value
-from .market import EquilibriumResult, MarketSpec, Matching, as_surplus_array, region_masses
+from .market import EquilibriumResult, MarketSpec, Matching, region_masses
 from .welfare import WelfareBreakdown, breakdown, matching_breakdown
 
 __all__ = [
@@ -181,10 +180,11 @@ def cap_reduced_ae(
 def prepare_bbae_grid(
     spec: MarketSpec, phi, tax_grid, cfg: IpfpConfig | None = None
 ) -> GridSolution:
-    """Solve the zero-constraint equilibrium at every candidate tax vector.
+    """Solve and price the zero-constraint equilibrium at every candidate tax
+    vector.
 
-    The grid solution is floor-independent, so one batch serves every floor
-    level of a sweep.
+    The grid solution and its prices are floor-independent, so one batch
+    serves every floor level of a sweep.
     """
     return solve_ae_grid(spec, phi, np.asarray(list(tax_grid), dtype=np.float64), cfg)
 
@@ -202,17 +202,11 @@ def select_bbae(
     Keeps grid points with nonnegative policymaker revenue whose region masses
     meet every target floor, then maximizes social welfare over the kept set
     (first maximizer wins, so the reduction is independent of evaluation
-    order). With an empty kept set the selection falls back to all
+    order). Revenue and welfare are the grid solution's, priced once per
+    grid. With an empty kept set the selection falls back to all
     budget-balanced points and the result is flagged infeasible.
     """
-    phi_arr = as_surplus_array(phi, spec)
-    w_slot = grid_solution.taxes[:, spec.slot_region_index]
-    revenue = (grid_solution.matched * w_slot[:, None, :]).sum(axis=(1, 2))
-    net_agent_surplus = (
-        grid_solution.matched * (phi_arr[None, :, :] - w_slot[:, None, :])
-    ).sum(axis=(1, 2))
-    welfare = matching_value(grid_solution, phi_arr, spec)
-    balanced = revenue >= -1e-12
+    balanced = grid_solution.revenue >= -1e-12
     floors_ok = np.ones(grid_solution.taxes.shape[0], dtype=bool)
     for z, f in target_floors.items():
         floors_ok &= grid_solution.region_mass[:, spec.region_index(z)] >= float(f) - tol
@@ -222,17 +216,17 @@ def select_bbae(
     if not pool.any():
         pool = np.ones_like(balanced)
     candidates = np.flatnonzero(pool)
-    winner = int(candidates[np.argmax(welfare[candidates])])
+    winner = int(candidates[np.argmax(grid_solution.social_welfare[candidates])])
     # Re-solve the winner alone to obtain utilities and diagnostics.
-    result = solve_ae(spec, phi_arr, grid_solution.taxes[winner], cfg)
+    result = solve_ae(spec, phi, grid_solution.taxes[winner], cfg)
     return PolicyResult(
         policy="bbae",
         equilibrium=result,
         search_parameter=np.array(grid_solution.taxes[winner]),
-        welfare=breakdown(result, phi_arr, spec),
+        welfare=breakdown(result, phi, spec),
         feasible=feasible,
         evaluated_matching=result.matching,
-        selection_value=float(net_agent_surplus[winner]),
+        selection_value=float(grid_solution.net_agent_surplus[winner]),
     )
 
 

@@ -12,7 +12,7 @@ from quotamatch.ae import (
     solve_ae,
     solve_ae_grid,
 )
-from quotamatch.market import region_masses
+from quotamatch.market import MarketSpec, region_masses
 
 
 class TestKernel:
@@ -140,3 +140,60 @@ class TestGridSolve:
         spec, phi = example_market
         with pytest.raises(ValueError):
             solve_ae_grid(spec, phi, np.zeros((4, 3)))
+
+    @pytest.mark.parametrize("excess, rejected", [(2e-6, True), (-2e-6, False)])
+    def test_range_limit_matches_build_kernel(self, single_pair, excess, rejected):
+        # The grid's largest exponent 0.5 * (phi - w) sits just above or below
+        # 700 at its second point only.
+        phi = np.zeros((1, 1))
+        grid = np.array([[0.0], [-2.0 * (700.0 + excess)]])
+        assert bool(0.5 * (phi[0, 0] - grid[1, 0]) > 700.0) == rejected
+        one_sweep = IpfpConfig(max_iterations=1)
+        for solve in (
+            lambda: build_kernel(phi, grid[1], single_pair),
+            lambda: solve_ae_grid(single_pair, phi, grid, one_sweep),
+        ):
+            if rejected:
+                with pytest.raises(KernelRangeError):
+                    solve()
+            else:
+                # A kernel this large overflows the sweep itself; only the
+                # range check is under test.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    solve()
+
+    def test_matches_individual_solves_across_a_wide_column(self):
+        # Surplus spans 600 within each column, so the shared factor
+        # exp((phi - top) / 2) reaches e**-300 next to entries of order one.
+        spec = MarketSpec(
+            ("x1", "x2", "x3"),
+            ("y1", "y2", "y3"),
+            ("z1", "z2"),
+            np.array([0.3, 0.5, 0.2]),
+            np.array([0.4, 0.3, 0.4]),
+            {"y1": "z1", "y2": "z1", "y3": "z2"},
+            np.array([np.inf, np.inf]),
+            np.zeros(2),
+        )
+        phi = np.array([[600.0, 1.0, -2.0], [0.0, 599.0, 3.0], [-0.5, 0.0, 600.0]])
+        grid = np.array([[0.0, 0.0], [1.5, -0.5], [-3.0, 4.0], [590.0, 0.0]])
+        assert np.exp(0.5 * (phi - phi.max(axis=0))).min() < np.exp(-299.0)
+        batch = solve_ae_grid(spec, phi, grid)
+        assert batch.converged
+        for g in range(grid.shape[0]):
+            single = solve_ae(spec, phi, grid[g])
+            assert np.abs(batch.matched[g] - single.matching.matched).max() < 1e-9
+            assert np.abs(batch.unmatched_workers[g] - single.matching.unmatched_workers).max() < 1e-9
+            assert np.abs(batch.unmatched_slots[g] - single.matching.unmatched_slots).max() < 1e-9
+            masses = region_masses(single.matching, spec)
+            assert np.abs(batch.region_mass[g] - masses).max() < 1e-9
+
+    def test_one_point_grid_matches_solve_ae(self, example_market):
+        spec, phi = example_market
+        w = np.array([0.5, -0.1])
+        batch = solve_ae_grid(spec, phi, w[None, :])
+        single = solve_ae(spec, phi, w)
+        assert batch.iterations == single.diagnostics.inner_iterations
+        assert np.abs(batch.matched[0] - single.matching.matched).max() < 1e-12
+        assert np.abs(batch.unmatched_workers[0] - single.matching.unmatched_workers).max() < 1e-12
+        assert np.abs(batch.unmatched_slots[0] - single.matching.unmatched_slots).max() < 1e-12

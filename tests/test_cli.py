@@ -393,6 +393,44 @@ def test_unknown_region_exits_one(example_files, tmp_path, monkeypatch, capsys, 
     assert "Traceback" not in err
 
 
+_ONE_PAIR = '"worker_types": ["x"], "slot_types": ["y"], "regions": ["z"], "m": {"y": 1.0}, "region_of": {"y": "z"}'
+
+
+@pytest.mark.parametrize(
+    "command, document",
+    [
+        ("solve-ae", '{%s, "n": {"x": NaN}}' % _ONE_PAIR),
+        ("solve-eae", '{%s, "n": {"x": 1.0}, "upper": {"z": Infinity}}' % _ONE_PAIR),
+    ],
+    ids=["solve-ae-nan-mass", "solve-eae-infinite-ceiling"],
+)
+def test_non_finite_number_in_market_file_exits_one(tmp_path, capsys, command, document):
+    market = tmp_path / "market.json"
+    market.write_text(document)
+    surplus = tmp_path / "phi.json"
+    _write_json({"phi": [[0.0]]}, surplus)
+    out = tmp_path / "r.json"
+    code = main([command, "--market", str(market), "--phi", str(surplus), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {market}: non-finite number")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_verify_rejects_nan_in_result_file(example_files, tmp_path, capsys):
+    _, market, surplus = example_files
+    out = tmp_path / "result.json"
+    assert main(["solve-eae", "--market", str(market), "--phi", str(surplus), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    doc["w"]["z2"] = float("nan")
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main(["verify", "--market", str(market), "--result", str(out), "--phi", str(surplus)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {out}: non-finite number NaN")
+
+
 def test_out_of_range_surplus_exits_one(tmp_path, single_pair, capsys):
     market = tmp_path / "market.json"
     save_market(single_pair, market)

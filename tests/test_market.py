@@ -64,6 +64,17 @@ def test_validate_flags_nonpositive_masses():
     assert not validate_market(spec).ok
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("n", np.nan), ("n", np.inf), ("upper", np.nan), ("lower", np.nan)],
+    ids=["nan-mass", "infinite-mass", "nan-ceiling", "nan-floor"],
+)
+def test_validate_flags_non_finite_numbers(field, value):
+    quotas = {"upper": [0.5, 0.4], "lower": [0.1, 0.05], "n": [0.5, 0.5]}
+    quotas[field][1] = value
+    assert not validate_market(make_spec(**quotas)).ok
+
+
 def test_validate_flags_floor_on_empty_region():
     spec = MarketSpec(
         ("x",), ("y",), ("z1", "z2"),

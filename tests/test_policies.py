@@ -5,7 +5,13 @@ import pytest
 
 from quotamatch.ae import solve_ae
 from quotamatch.eae import solve_eae
-from quotamatch.experiments import CAP_GRID, UPPER_BOUND_GRID, default_tax_grid, gen_jrmp_market
+from quotamatch.experiments import (
+    CAP_GRID,
+    UPPER_BOUND_GRID,
+    default_tax_grid,
+    gen_jrmp_market,
+    sweep_policies,
+)
 from quotamatch.market import region_masses
 from quotamatch.policies import (
     PolicyResult,
@@ -150,12 +156,35 @@ class TestBudgetBalancedPolicy:
         for g in range(grid.shape[0]):
             mu = gs.matching(g)
             w = gs.taxes[g]
-            pm = float((mu.matched * w[spec.slot_region_index][None, :]).sum())
+            w_slot = w[spec.slot_region_index]
+            pm = float((mu.matched * w_slot[None, :]).sum())
+            social = social_welfare(mu, phi, spec)
+            # The grid prices every point once, as this loop does.
+            assert gs.revenue[g] == pytest.approx(pm, rel=0, abs=1e-12)
+            assert gs.social_welfare[g] == pytest.approx(social, rel=0, abs=1e-12)
+            net = float((mu.matched * (np.asarray(phi.phi) - w_slot[None, :])).sum())
+            assert gs.net_agent_surplus[g] == pytest.approx(net, rel=0, abs=1e-12)
             masses = region_masses(mu, spec)
             if pm < -1e-12 or masses[1] < 0.2 - 1e-8 or masses[2] < 0.2 - 1e-8:
                 continue
-            best = max(best, social_welfare(mu, phi, spec))
+            best = max(best, social)
         assert chosen.welfare.social == pytest.approx(best, abs=1e-8)
+
+    def test_sweep_selection_equals_fresh_bbae_bit_for_bit(self, jrmp):
+        spec, phi = jrmp
+        levels = (0.1, 0.2, 0.3)
+        sweep = sweep_policies(spec, phi, levels, "z1", ("z2", "z3"))
+        for level, results in zip(levels, sweep):
+            swept = next(r for r in results if r.policy == "bbae")
+            fresh = bbae(spec, phi, {"z2": level, "z3": level}, default_tax_grid())
+            assert np.array_equal(swept.search_parameter, fresh.search_parameter)
+            assert swept.feasible == fresh.feasible
+            assert swept.selection_value == fresh.selection_value
+            assert swept.welfare == fresh.welfare
+            mu, want = swept.evaluated_matching, fresh.evaluated_matching
+            assert mu.matched.tobytes() == want.matched.tobytes()
+            assert mu.unmatched_workers.tobytes() == want.unmatched_workers.tobytes()
+            assert mu.unmatched_slots.tobytes() == want.unmatched_slots.tobytes()
 
     def test_net_agent_surplus_reported(self, jrmp):
         spec, phi = jrmp
