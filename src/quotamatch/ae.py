@@ -32,7 +32,6 @@ from .market import (
 
 __all__ = [
     "IpfpConfig",
-    "ChooSiowKernel",
     "KernelRangeError",
     "build_kernel",
     "fixed_point_tangent",
@@ -63,20 +62,9 @@ class IpfpConfig:
             raise ValueError("max_iterations must be at least 1")
 
 
-@dataclass(frozen=True)
-class ChooSiowKernel:
-    """Strictly positive pair kernel exp((surplus - tax) / 2)."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = np.array(self.matrix, dtype=np.float64)
-        mat.flags.writeable = False
-        object.__setattr__(self, "matrix", mat)
-
-
-def build_kernel(phi, taxes, spec: MarketSpec) -> ChooSiowKernel:
-    """Build the matching-function kernel for a surplus matrix and tax vector."""
+def build_kernel(phi, taxes, spec: MarketSpec) -> np.ndarray:
+    """Read-only, strictly positive (N, M) matching-function kernel
+    exp((surplus - tax) / 2) for a surplus matrix and tax vector."""
     phi_arr = as_surplus_array(phi, spec)
     w = as_tax_array(taxes, spec)
     exponent = 0.5 * (phi_arr - w[spec.slot_region_index][None, :])
@@ -85,7 +73,9 @@ def build_kernel(phi, taxes, spec: MarketSpec) -> ChooSiowKernel:
             f"kernel exponent {exponent.max():g} exceeds {_EXP_LIMIT:g}; "
             "surplus minus tax is out of representable range"
         )
-    return ChooSiowKernel(np.exp(exponent))
+    kernel = np.exp(exponent)
+    kernel.flags.writeable = False
+    return kernel
 
 
 def _ipfp(n, m, kernel, tol, max_iterations, a0=None, b0=None, scale=1.0):
@@ -172,7 +162,7 @@ def solve_ae(
     cfg = cfg or IpfpConfig()
     phi_arr = as_surplus_array(phi, spec)
     w = as_tax_array(taxes, spec)
-    kernel = build_kernel(phi_arr, w, spec).matrix
+    kernel = build_kernel(phi_arr, w, spec)
     a0, b0 = initial if initial is not None else (None, None)
     a, b, iterations, residual = _ipfp(
         spec.n, spec.m, kernel, cfg.population_tolerance, cfg.max_iterations, a0, b0
@@ -205,8 +195,8 @@ class GridSolution:
     Arrays are stacked along the grid dimension. ``iterations`` is the shared
     sweep count at which the slowest grid point met the tolerance. Each
     point's floor-independent prices come with the solve: ``revenue`` is
-    sum mu*w, ``net_agent_surplus`` sum mu*(phi - w) and ``social_welfare``
-    :func:`~quotamatch.logit.matching_value` at phi.
+    sum mu*w and ``social_welfare`` :func:`~quotamatch.logit.matching_value`
+    at phi.
     """
 
     taxes: np.ndarray            # (G, L)
@@ -215,7 +205,6 @@ class GridSolution:
     unmatched_slots: np.ndarray    # (G, M)
     region_mass: np.ndarray      # (G, L)
     revenue: np.ndarray          # (G,)
-    net_agent_surplus: np.ndarray  # (G,)
     social_welfare: np.ndarray   # (G,)
     iterations: int
     residual: float
@@ -267,7 +256,6 @@ def solve_ae_grid(
         unmatched_slots=mu.unmatched_slots,
         region_mass=masses,
         revenue=(matched * w_slot[:, None, :]).sum(axis=(1, 2)),
-        net_agent_surplus=(matched * (phi_arr[None, :, :] - w_slot[:, None, :])).sum(axis=(1, 2)),
         social_welfare=matching_value(mu, phi_arr, spec),
         iterations=iterations,
         residual=residual,
@@ -285,7 +273,7 @@ def consistency_residual(result: EquilibriumResult, phi, spec: MarketSpec) -> fl
 
 def fixed_point_residual(result: EquilibriumResult, phi, spec: MarketSpec) -> float:
     """Worst population residual implied by the matching-function relation."""
-    kernel = build_kernel(phi, result.taxes, spec).matrix
+    kernel = build_kernel(phi, result.taxes, spec)
     mu = result.matching
     a = np.sqrt(mu.unmatched_workers)
     b = np.sqrt(mu.unmatched_slots)

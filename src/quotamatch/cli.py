@@ -12,9 +12,11 @@ evaluation budget runs out, the search stalls, or an inner solve fails.
 
 ``counterfactual`` runs the experiment harness's per-floor policy sweep
 (:func:`quotamatch.experiments.sweep_policies`) on one market. Its
-budget-balance grid has |tax grid| * |subsidy grid|**(L-1) points for L
-regions and is rejected (exit 1) when too large. A floor level the optimal
-tax cannot meet gives exit 3; its other three policy rows are still written.
+budget-balance grid (:func:`quotamatch.policies.tax_grid`) has
+|tax grid| * |subsidy grid|**(L-1) points for L regions and is rejected
+(exit 1) before any solve when too large; :func:`quotamatch.policies.bbae`
+solves it once for all floor levels. A floor level the optimal tax cannot
+meet gives exit 3; its other three policy rows are still written.
 """
 
 from __future__ import annotations

@@ -108,7 +108,7 @@ class _InnerSolver:
 
     def solve(self, w: np.ndarray) -> np.ndarray:
         """Solve at taxes ``w`` and return the per-region matched masses."""
-        kernel = build_kernel(self.phi, w, self.spec).matrix
+        kernel = build_kernel(self.phi, w, self.spec)
         a, b, iters, residual = _ipfp(
             self.spec.n,
             self.spec.m,

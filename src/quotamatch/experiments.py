@@ -13,7 +13,6 @@ flag) produces byte-identical files.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -24,15 +23,8 @@ import numpy as np
 from .ae import solve_ae
 from .eae import InfeasibleQuotaError, solve_eae
 from .market import MarketSpec, SurplusMatrix, region_masses
-from .policies import (
-    PolicyResult,
-    cap_reduced_ae,
-    eae_upper_bound,
-    prepare_bbae_grid,
-    select_bbae,
-)
+from .policies import PolicyResult, bbae, cap_reduced_ae, eae_upper_bound, policy_result, tax_grid
 from .rng import SplitMix64
-from .welfare import breakdown
 
 __all__ = [
     "JrmpConfig",
@@ -48,7 +40,6 @@ __all__ = [
     "write_locus_csv",
     "write_records_csv",
     "write_bench_csv",
-    "default_tax_grid",
     "sweep_policies",
 ]
 
@@ -59,9 +50,6 @@ CAP_GRID = tuple(np.round(np.linspace(0.050, 0.25, 41), 10))
 #: tax grid axes for the budget-balanced policy
 BB_TAX_AXIS = tuple(np.round(np.linspace(0.0, 10.0, 21), 10))
 BB_SUBSIDY_AXIS = tuple(np.round(np.linspace(-0.2, 0.0, 21), 10))
-#: largest budget-balance grid, in grid points times worker types times slot
-#: types: the size of each stacked (G, N, M) array of the grid solve
-MAX_GRID_ENTRIES = 1_000_000
 
 _PANEL_METRICS = ("social_welfare", "agent_welfare", "pm_surplus", "urban_mass", "rural_mass")
 _POLICIES = ("unconstrained", "eae", "bbae", "eae_upper_bound", "cap_reduced")
@@ -189,9 +177,8 @@ class PanelData:
     cfg: JrmpConfig
     records: tuple[SweepRecord, ...]
 
-    def panel_rows(self) -> list[tuple]:
-        """(floor, policy, metric, mean, stderr) over feasible replications."""
-        rows = []
+    def _feasible_cells(self):
+        """(floor, policy, feasible records of that cell) in panel order."""
         for floor in self.cfg.floor_grid:
             for policy in _POLICIES:
                 cell = [
@@ -199,41 +186,38 @@ class PanelData:
                     for r in self.records
                     if r.policy == policy and r.floor == floor and r.feasible
                 ]
-                for metric in _PANEL_METRICS:
-                    values = np.array([_metric(r, metric) for r in cell])
-                    if values.size == 0:
-                        rows.append((floor, policy, metric, np.nan, np.nan))
-                        continue
-                    stderr = (
-                        float(values.std(ddof=1) / np.sqrt(values.size))
-                        if values.size > 1
-                        else 0.0
-                    )
-                    rows.append((floor, policy, metric, float(values.mean()), stderr))
+                yield floor, policy, cell
+
+    def panel_rows(self) -> list[tuple]:
+        """(floor, policy, metric, mean, stderr) over feasible replications."""
+        rows = []
+        for floor, policy, cell in self._feasible_cells():
+            for metric in _PANEL_METRICS:
+                values = np.array([_metric(r, metric) for r in cell])
+                if values.size == 0:
+                    rows.append((floor, policy, metric, np.nan, np.nan))
+                    continue
+                stderr = (
+                    float(values.std(ddof=1) / np.sqrt(values.size))
+                    if values.size > 1
+                    else 0.0
+                )
+                rows.append((floor, policy, metric, float(values.mean()), stderr))
         return rows
 
     def locus_rows(self) -> list[tuple]:
         """(floor, policy, tax, avg_subsidy): urban tax against the mean tax
         on the floor regions, averaged over feasible replications."""
         rows = []
-        for floor in self.cfg.floor_grid:
-            for policy in _POLICIES:
-                cell = [
-                    r
-                    for r in self.records
-                    if r.policy == policy and r.floor == floor and r.feasible
-                ]
-                if not cell:
-                    rows.append((floor, policy, np.nan, np.nan))
-                    continue
-                taxes = np.array([r.taxes[self.cfg.urban_region] for r in cell])
-                subsidies = np.array(
-                    [
-                        np.mean([r.taxes[z] for z in self.cfg.floor_regions])
-                        for r in cell
-                    ]
-                )
-                rows.append((floor, policy, float(taxes.mean()), float(subsidies.mean())))
+        for floor, policy, cell in self._feasible_cells():
+            if not cell:
+                rows.append((floor, policy, np.nan, np.nan))
+                continue
+            taxes = np.array([r.taxes[self.cfg.urban_region] for r in cell])
+            subsidies = np.array(
+                [np.mean([r.taxes[z] for z in self.cfg.floor_regions]) for r in cell]
+            )
+            rows.append((floor, policy, float(taxes.mean()), float(subsidies.mean())))
         return rows
 
 
@@ -241,26 +225,6 @@ def _metric(r: SweepRecord, name: str) -> float:
     if name == "rural_mass":
         return float(sum(r.rural_mass.values()))
     return float(getattr(r, name))
-
-
-def default_tax_grid(
-    tax_axis: Sequence[float] = BB_TAX_AXIS,
-    subsidy_axis: Sequence[float] = BB_SUBSIDY_AXIS,
-    num_regions: int = 3,
-    capped: int = 0,
-) -> np.ndarray:
-    """Cartesian budget-balance grid: the tax axis on the capped region (by
-    index), its own copy of the subsidy axis on every other region.
-
-    Rows run in ``itertools.product`` order over the capped region first and
-    then the others in region order, |tax axis| * |subsidy axis|**(L-1) rows.
-    """
-    points = np.asarray(
-        list(itertools.product(tax_axis, *[subsidy_axis] * (num_regions - 1))), dtype=np.float64
-    )
-    grid = np.empty_like(points)
-    grid[:, [capped] + [z for z in range(num_regions) if z != capped]] = points
-    return grid
 
 
 def sweep_policies(
@@ -281,28 +245,21 @@ def sweep_policies(
     region; caps go to ``urban_region``. A floor of zero or less is vacuous
     and every policy copies the unconstrained equilibrium. When the optimal
     tax cannot meet the floors (:class:`InfeasibleQuotaError`) that level has
-    no ``eae`` result. The budget-balance grid (:func:`default_tax_grid`) is
-    solved once for all levels; a grid whose points times worker and slot
-    types exceed ``MAX_GRID_ENTRIES`` is rejected before any solve.
+    no ``eae`` result. The budget-balance grid (:func:`~quotamatch.policies.tax_grid`)
+    is built and checked against its size limit before any solve, and
+    solved once for all levels.
     """
-    points = len(tax_axis) * len(subsidy_axis) ** (spec.num_regions - 1)
-    if points * spec.num_workers * spec.num_slots > MAX_GRID_ENTRIES:
-        raise ValueError(
-            f"budget-balance grid of {points} tax vectors on a "
-            f"{spec.num_workers}x{spec.num_slots} market exceeds {MAX_GRID_ENTRIES} "
-            "stacked pair masses; coarsen the subsidy axis (--subsidy-grid)"
-        )
-    tax_grid = default_tax_grid(
-        tax_axis, subsidy_axis, spec.num_regions, spec.region_index(urban_region)
-    )
-    grid_solution = prepare_bbae_grid(spec, phi, tax_grid)
-    cap_slots = [y for y in spec.slot_types if spec.region_of[y] == urban_region]
+    grid = tax_grid(spec, urban_region, tax_axis, subsidy_axis)
+    # A NaN floor is not vacuous: it takes the constrained path, whose
+    # validation rejects it.
+    constrained = [{z: floor for z in floor_regions} for floor in floor_grid if not floor <= 0.0]
+    budget_balanced = iter(bbae(spec, phi, constrained, grid))
     unconstrained = None
     sweep = []
     for floor in floor_grid:
         if floor <= 0.0:
             if unconstrained is None:
-                unconstrained = _as_policy_result("unconstrained", solve_ae(spec, phi), phi, spec)
+                unconstrained = policy_result("unconstrained", solve_ae(spec, phi), phi, spec)
             sweep.append([replace(unconstrained, policy=p) for p in _SWEPT])
             continue
         floors = {z: floor for z in floor_regions}
@@ -310,14 +267,12 @@ def sweep_policies(
         try:
             eae_result = solve_eae(spec.with_quotas(lower=floors), phi)
             feasible = eae_result.diagnostics.converged
-            results.append(_as_policy_result("eae", eae_result, phi, spec, feasible))
+            results.append(policy_result("eae", eae_result, phi, spec, feasible))
         except InfeasibleQuotaError:
             pass
-        results.append(
-            eae_upper_bound(spec, phi, floors, upper_bound_grid, bound_region=urban_region)
-        )
-        results.append(cap_reduced_ae(spec, phi, floors, cap_grid, cap_slots=cap_slots))
-        results.append(select_bbae(grid_solution, spec, phi, floors))
+        results.append(eae_upper_bound(spec, phi, floors, upper_bound_grid, urban_region))
+        results.append(cap_reduced_ae(spec, phi, floors, cap_grid, urban_region))
+        results.append(next(budget_balanced))
         sweep.append(results)
     return sweep
 
@@ -350,22 +305,11 @@ def _record_policy(
     )
 
 
-def _as_policy_result(policy: str, result, phi, spec, feasible: bool = True) -> PolicyResult:
-    return PolicyResult(
-        policy=policy,
-        equilibrium=result,
-        search_parameter=None,
-        welfare=breakdown(result, phi, spec),
-        feasible=feasible,
-        evaluated_matching=result.matching,
-    )
-
-
 def sweep_one_seed(seed: int, cfg: JrmpConfig) -> list[SweepRecord]:
     """All policies at all floor levels for one replication: the
     unconstrained equilibrium plus :func:`sweep_policies` on one surplus draw."""
     spec, phi = gen_jrmp_market(seed)
-    unconstrained = _as_policy_result("unconstrained", solve_ae(spec, phi), phi, spec)
+    unconstrained = policy_result("unconstrained", solve_ae(spec, phi), phi, spec)
     sweep = sweep_policies(spec, phi, cfg.floor_grid, cfg.urban_region, cfg.floor_regions)
     return [
         _record_policy(floor, seed, r, spec, cfg.urban_region, cfg.floor_regions)

@@ -1,55 +1,60 @@
 """Alternative quota-implementation policies and their welfare comparison.
 
-Three policies substitute for directly enforcing rural floors:
+Three policies substitute for directly enforcing rural floors, each acting on
+one capped region that the caller names:
 
-* an upper-bound policy that caps one designated region and relies on the
-  optimal tax for that cap alone, scanning an ascending grid of caps and
-  accepting the smallest whose outcome meets every target floor;
-* a capacity-reduction policy that shrinks designated slot types' masses at
-  zero taxes, scanning an ascending grid of artificial capacities the same
-  way (this mirrors the rationing rule used in practice);
-* a budget-balanced policy that grid-searches tax vectors, keeps those whose
-  outcome both meets the floors and yields nonnegative policymaker revenue,
-  and picks the welfare-maximizing one.
+* an upper-bound policy that caps the region and relies on the optimal tax
+  for that cap alone, scanning an ascending grid of caps and accepting the
+  smallest whose outcome meets every target floor;
+* a capacity-reduction policy that shrinks the region's slot masses at zero
+  taxes, scanning an ascending grid of artificial capacities the same way
+  (this mirrors the rationing rule used in practice);
+* a budget-balanced policy that solves the zero-constraint equilibrium at
+  every tax vector of a grid (:func:`tax_grid`), keeps those whose outcome
+  both meets the floors and yields nonnegative policymaker revenue, and picks
+  the welfare-maximizing one.
 
-All four policies (including the directly constrained optimum) are compared
-on the same social-welfare scale: realized match surplus plus the
-heterogeneity term. The budget-balanced selection uses that same scale; the
-alternative net-of-tax match-surplus criterion (which drops the
-heterogeneity term, treats taxes as pure agent losses, and therefore favors
-prohibitively high taxes once floors force taxation at all) is evaluated and
-reported for every selected point but deliberately not used for selection,
-since it would invert the policy ordering whenever floors bind.
-
-Which regions receive caps versus floors is caller configuration, not an
-assumption of this module.
+All four policies (including the directly constrained optimum) are priced by
+:func:`policy_result` on the same social-welfare scale: realized match
+surplus plus the heterogeneity term. The budget-balanced selection uses that
+same scale. The net-of-tax value of an outcome, ``match_surplus -
+pm_surplus`` of its welfare breakdown, drops the heterogeneity term and
+treats taxes as pure agent losses; it therefore favors prohibitively high
+taxes once floors force taxation at all, and selecting on it would invert
+the policy ordering whenever floors bind.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .ae import GridSolution, IpfpConfig, solve_ae, solve_ae_grid
-from .eae import EaeConfig, solve_eae
+from .ae import solve_ae, solve_ae_grid
+from .eae import solve_eae
 from .market import EquilibriumResult, MarketSpec, Matching, region_masses
-from .welfare import WelfareBreakdown, breakdown, matching_breakdown
+from .welfare import WelfareBreakdown, matching_breakdown
 
 __all__ = [
     "PolicyResult",
     "OrderingReport",
+    "policy_result",
     "eae_upper_bound",
     "cap_reduced_ae",
+    "tax_grid",
     "bbae",
-    "prepare_bbae_grid",
-    "select_bbae",
     "welfare_ordering_check",
     "extend_capped_matching",
 ]
 
 POLICY_ORDER = ("eae", "bbae", "eae_upper_bound", "cap_reduced")
+#: slack below a target floor within which an outcome still meets it
+FLOOR_TOLERANCE = 1e-8
+#: largest budget-balance grid, in grid points times worker types times slot
+#: types: the size of each stacked (G, N, M) array of the grid solve
+MAX_GRID_ENTRIES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -60,29 +65,50 @@ class PolicyResult:
     welfare: WelfareBreakdown
     feasible: bool
     evaluated_matching: Matching
-    selection_value: float | None = None
 
 
-def _floors_met(mu: Matching, floors: Mapping[str, float], spec: MarketSpec, tol: float) -> bool:
+def policy_result(
+    policy: str,
+    result: EquilibriumResult,
+    phi,
+    spec: MarketSpec,
+    feasible: bool = True,
+    search_parameter=None,
+    evaluated: Matching | None = None,
+) -> PolicyResult:
+    """Price an equilibrium as a policy outcome.
+
+    ``evaluated`` is the matching whose welfare is reported, the
+    equilibrium's own by default; it is priced at the equilibrium's taxes
+    and utilities.
+    """
+    evaluated = result.matching if evaluated is None else evaluated
+    welfare = matching_breakdown(
+        evaluated, phi, result.taxes, result.utilities.U, result.utilities.V, spec
+    )
+    return PolicyResult(policy, result, search_parameter, welfare, feasible, evaluated)
+
+
+def _floors_met(mu: Matching, floors: Mapping[str, float], spec: MarketSpec) -> bool:
     masses = region_masses(mu, spec)
-    return all(masses[spec.region_index(z)] >= f - tol for z, f in floors.items())
+    return all(masses[spec.region_index(z)] >= f - FLOOR_TOLERANCE for z, f in floors.items())
 
 
-def _infer_bound_region(spec: MarketSpec, floors: Mapping[str, float]) -> str:
-    candidates = [z for z in spec.regions if z not in floors]
-    if len(candidates) != 1:
-        raise ValueError(
-            "cannot infer the capped region: pass it explicitly when the market "
-            "does not have exactly one region without a target floor"
-        )
-    return candidates[0]
+def _first_feasible(grid: Sequence[float], solve, floors: Mapping[str, float], spec: MarketSpec):
+    """Solve an ascending grid in order up to the first value whose outcome
+    meets every floor.
 
-
-def _check_ascending(grid: Sequence[float]) -> list[float]:
+    Returns (value, result, feasible); when no value works the last attempt
+    is returned with ``feasible`` False.
+    """
     values = [float(g) for g in grid]
     if not values or any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError("grid must be a nonempty ascending sequence")
-    return values
+    for value in values:
+        result = solve(value)
+        if _floors_met(result.matching, floors, spec):
+            return value, result, True
+    return value, result, False
 
 
 def eae_upper_bound(
@@ -90,36 +116,21 @@ def eae_upper_bound(
     phi,
     target_floors: Mapping[str, float],
     grid: Sequence[float],
-    bound_region: str | None = None,
-    cfg: EaeConfig | None = None,
+    bound_region: str,
 ) -> PolicyResult:
     """Smallest grid cap on the bound region whose optimal-tax outcome meets
     every target floor.
 
     All other constraints are dropped while scanning: the candidate market has
-    only the one ceiling. When no grid value works the last attempt is
-    returned with ``feasible=False``.
+    only the one ceiling.
     """
-    cfg = cfg or EaeConfig()
-    bound_region = bound_region or _infer_bound_region(spec, target_floors)
-    result = None
-    accepted = None
-    feasible = False
-    for cap in _check_ascending(grid):
-        candidate = spec.with_quotas(upper={bound_region: cap}, lower={})
-        result = solve_eae(candidate, phi, cfg)
-        accepted = cap
-        if _floors_met(result.matching, target_floors, spec, cfg.constraint_tolerance):
-            feasible = True
-            break
-    return PolicyResult(
-        policy="eae_upper_bound",
-        equilibrium=result,
-        search_parameter=accepted,
-        welfare=breakdown(result, phi, spec),
-        feasible=feasible,
-        evaluated_matching=result.matching,
+    cap, result, feasible = _first_feasible(
+        grid,
+        lambda cap: solve_eae(spec.with_quotas(upper={bound_region: cap}, lower={}), phi),
+        target_floors,
+        spec,
     )
+    return policy_result("eae_upper_bound", result, phi, spec, feasible, cap)
 
 
 def extend_capped_matching(mu: Matching, spec: MarketSpec) -> Matching:
@@ -138,109 +149,92 @@ def cap_reduced_ae(
     phi,
     target_floors: Mapping[str, float],
     grid: Sequence[float],
-    cap_slots: Sequence[str] | None = None,
-    cfg: IpfpConfig | None = None,
-    tol: float = 1e-8,
+    bound_region: str,
 ) -> PolicyResult:
-    """Smallest artificial capacity for the capped slot types whose zero-tax
-    outcome meets every target floor.
+    """Smallest artificial capacity for every slot type of the bound region
+    whose zero-tax outcome meets every target floor.
 
     The returned equilibrium lives on the reduced market; its welfare is
     evaluated on the matching extended back to the true slot masses, with the
     artificially removed slots unmatched.
     """
-    cfg = cfg or IpfpConfig()
-    if cap_slots is None:
-        region = _infer_bound_region(spec, target_floors)
-        cap_slots = [y for y in spec.slot_types if spec.region_of[y] == region]
-    result = None
-    accepted = None
-    feasible = False
-    for cap in _check_ascending(grid):
-        reduced = spec.with_slot_masses({y: cap for y in cap_slots})
-        result = solve_ae(reduced, phi, None, cfg)
-        accepted = cap
-        if _floors_met(result.matching, target_floors, spec, tol):
-            feasible = True
-            break
+    cols = spec.region_slot_indices[spec.region_index(bound_region)]
+    slots = [spec.slot_types[j] for j in cols]
+    cap, result, feasible = _first_feasible(
+        grid,
+        lambda cap: solve_ae(spec.with_slot_masses({y: cap for y in slots}), phi),
+        target_floors,
+        spec,
+    )
     extended = extend_capped_matching(result.matching, spec)
-    welfare = matching_breakdown(
-        extended, phi, result.taxes, result.utilities.U, result.utilities.V, spec
-    )
-    return PolicyResult(
-        policy="cap_reduced",
-        equilibrium=result,
-        search_parameter=accepted,
-        welfare=welfare,
-        feasible=feasible,
-        evaluated_matching=extended,
-    )
+    return policy_result("cap_reduced", result, phi, spec, feasible, cap, extended)
 
 
-def prepare_bbae_grid(
-    spec: MarketSpec, phi, tax_grid, cfg: IpfpConfig | None = None
-) -> GridSolution:
-    """Solve and price the zero-constraint equilibrium at every candidate tax
-    vector.
-
-    The grid solution and its prices are floor-independent, so one batch
-    serves every floor level of a sweep.
-    """
-    return solve_ae_grid(spec, phi, np.asarray(list(tax_grid), dtype=np.float64), cfg)
-
-
-def select_bbae(
-    grid_solution: GridSolution,
+def tax_grid(
     spec: MarketSpec,
-    phi,
-    target_floors: Mapping[str, float],
-    cfg: IpfpConfig | None = None,
-    tol: float = 1e-8,
-) -> PolicyResult:
-    """Pick the budget-balanced grid equilibrium for one floor level.
+    capped_region: str,
+    tax_axis: Sequence[float],
+    subsidy_axis: Sequence[float],
+) -> np.ndarray:
+    """Cartesian budget-balance grid: the tax axis on the capped region, its
+    own copy of the subsidy axis on every other region.
 
-    Keeps grid points with nonnegative policymaker revenue whose region masses
-    meet every target floor, then maximizes social welfare over the kept set
-    (first maximizer wins, so the reduction is independent of evaluation
-    order). Revenue and welfare are the grid solution's, priced once per
-    grid. With an empty kept set the selection falls back to all
-    budget-balanced points and the result is flagged infeasible.
+    Rows run in ``itertools.product`` order over the capped region first and
+    then the others in region order, |tax axis| * |subsidy axis|**(L-1) rows.
+    A grid whose rows times worker and slot types exceed
+    ``MAX_GRID_ENTRIES`` is rejected before it is built.
     """
-    balanced = grid_solution.revenue >= -1e-12
-    floors_ok = np.ones(grid_solution.taxes.shape[0], dtype=bool)
-    for z, f in target_floors.items():
-        floors_ok &= grid_solution.region_mass[:, spec.region_index(z)] >= float(f) - tol
-    keep = balanced & floors_ok
-    feasible = bool(keep.any())
-    pool = keep if feasible else balanced
-    if not pool.any():
-        pool = np.ones_like(balanced)
-    candidates = np.flatnonzero(pool)
-    winner = int(candidates[np.argmax(grid_solution.social_welfare[candidates])])
-    # Re-solve the winner alone to obtain utilities and diagnostics.
-    result = solve_ae(spec, phi, grid_solution.taxes[winner], cfg)
-    return PolicyResult(
-        policy="bbae",
-        equilibrium=result,
-        search_parameter=np.array(grid_solution.taxes[winner]),
-        welfare=breakdown(result, phi, spec),
-        feasible=feasible,
-        evaluated_matching=result.matching,
-        selection_value=float(grid_solution.net_agent_surplus[winner]),
+    num_regions = spec.num_regions
+    points = len(tax_axis) * len(subsidy_axis) ** (num_regions - 1)
+    if points * spec.num_workers * spec.num_slots > MAX_GRID_ENTRIES:
+        raise ValueError(
+            f"budget-balance grid of {points} tax vectors on a "
+            f"{spec.num_workers}x{spec.num_slots} market exceeds {MAX_GRID_ENTRIES} "
+            "stacked pair masses; coarsen the subsidy axis (--subsidy-grid)"
+        )
+    capped = spec.region_index(capped_region)
+    rows = np.asarray(
+        list(itertools.product(tax_axis, *[subsidy_axis] * (num_regions - 1))), dtype=np.float64
     )
+    grid = np.empty_like(rows)
+    grid[:, [capped] + [z for z in range(num_regions) if z != capped]] = rows
+    return grid
 
 
 def bbae(
     spec: MarketSpec,
     phi,
-    target_floors: Mapping[str, float],
-    tax_grid,
-    cfg: IpfpConfig | None = None,
-    tol: float = 1e-8,
-) -> PolicyResult:
-    """Budget-balanced equilibrium over a finite tax grid for given floors."""
-    grid_solution = prepare_bbae_grid(spec, phi, tax_grid, cfg)
-    return select_bbae(grid_solution, spec, phi, target_floors, cfg, tol)
+    floor_levels: Sequence[Mapping[str, float]],
+    grid,
+) -> list[PolicyResult]:
+    """Budget-balanced equilibrium over a finite tax grid, one per floor level.
+
+    The zero-constraint equilibrium is solved and priced once at every grid
+    row. For each mapping of target floors the selection keeps rows with
+    nonnegative policymaker revenue whose region masses meet every floor,
+    then maximizes social welfare over the kept set (first maximizer wins, so
+    the reduction is independent of evaluation order). With an empty kept
+    set it falls back to all budget-balanced rows and the result is flagged
+    infeasible. The winner is re-solved alone for its utilities and
+    diagnostics.
+    """
+    solved = solve_ae_grid(spec, phi, grid)
+    balanced = solved.revenue >= -1e-12
+    results = []
+    for floors in floor_levels:
+        keep = balanced.copy()
+        for z, f in floors.items():
+            keep &= solved.region_mass[:, spec.region_index(z)] >= float(f) - FLOOR_TOLERANCE
+        feasible = bool(keep.any())
+        pool = keep if feasible else balanced
+        if not pool.any():
+            pool = np.ones_like(balanced)
+        candidates = np.flatnonzero(pool)
+        winner = int(candidates[np.argmax(solved.social_welfare[candidates])])
+        taxes = np.array(solved.taxes[winner])
+        result = solve_ae(spec, phi, taxes)
+        results.append(policy_result("bbae", result, phi, spec, feasible, taxes))
+    return results
 
 
 @dataclass(frozen=True)

@@ -18,17 +18,18 @@ from quotamatch.market import MarketSpec, region_masses
 class TestKernel:
     def test_zero_inputs_give_ones(self, single_pair):
         k = build_kernel(np.zeros((1, 1)), np.zeros(1), single_pair)
-        assert k.matrix[0, 0] == 1.0
+        assert k[0, 0] == 1.0
+        assert not k.flags.writeable
 
     def test_tax_cancels_surplus(self, single_pair):
         k = build_kernel(np.array([[2.0]]), np.array([2.0]), single_pair)
-        assert k.matrix[0, 0] == 1.0
+        assert k[0, 0] == 1.0
 
     def test_reference_market_spot_value(self, example_market):
         spec, phi = example_market
         k = build_kernel(phi, np.zeros(2), spec)
-        assert np.allclose(k.matrix, np.exp(phi.phi / 2.0))
-        assert k.matrix[0, 0] == pytest.approx(np.e, rel=1e-12)
+        assert np.allclose(k, np.exp(phi.phi / 2.0))
+        assert k[0, 0] == pytest.approx(np.e, rel=1e-12)
 
     def test_overflow_guard(self, single_pair):
         with pytest.raises(KernelRangeError):

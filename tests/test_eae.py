@@ -276,7 +276,7 @@ class TestInfeasibility:
         with pytest.raises(ValueError, match="admissible"):
             solve_eae(spec, np.zeros((1, 1)))
 
-    def test_near_saturation_floor_degrades_to_flagged_partial(self, single_pair):
+    def test_near_saturation_floor_certifies(self, single_pair):
         # The fixed point slows down as unmatched masses vanish, but warm
         # starts along the tax search carry it to tolerance: the result is
         # certified and lands on the analytic tax up to what the population

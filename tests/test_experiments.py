@@ -5,10 +5,11 @@ import pytest
 
 from quotamatch.eae import verify_kkt
 from quotamatch.experiments import (
+    BB_SUBSIDY_AXIS,
+    BB_TAX_AXIS,
     JrmpConfig,
     ScalingConfig,
     bench_eae,
-    default_tax_grid,
     gen_jrmp_market,
     gen_scaling_market,
     run_lower_bound_sweep,
@@ -16,7 +17,8 @@ from quotamatch.experiments import (
     write_panels_csv,
     write_records_csv,
 )
-from quotamatch.market import validate_market
+from quotamatch.market import MarketSpec, validate_market
+from quotamatch.policies import tax_grid
 from quotamatch.rng import SplitMix64, derive_seed
 
 
@@ -184,7 +186,13 @@ class TestSweep:
 class TestTaxGrid:
     def test_four_regions_give_each_floor_region_its_own_subsidy_axis(self):
         taxes, subsidies = (0.0, 1.0, 2.0), (-0.2, -0.1, 0.0)
-        grid = default_tax_grid(taxes, subsidies, num_regions=4, capped=2)
+        regions = ("z1", "z2", "z3", "z4")
+        slots = ("y1", "y2", "y3", "y4")
+        spec = MarketSpec(
+            ("x1",), slots, regions, np.ones(1), np.ones(4),
+            dict(zip(slots, regions)), np.full(4, np.inf), np.zeros(4),
+        )
+        grid = tax_grid(spec, "z3", taxes, subsidies)
         assert grid.shape == (3 * 3**3, 4)
         # Rows in itertools.product order over (capped, z1, z2, z4).
         assert grid[:, [2, 0, 1, 3]].tolist() == [
@@ -193,7 +201,8 @@ class TestTaxGrid:
         assert len({tuple(row) for row in grid}) == grid.shape[0]
 
     def test_three_region_default_keeps_its_layout(self):
-        grid = default_tax_grid()
+        spec, _ = gen_jrmp_market(0)
+        grid = tax_grid(spec, "z1", BB_TAX_AXIS, BB_SUBSIDY_AXIS)
         assert grid.shape == (21**3, 3)
         assert grid[1].tolist() == [0.0, -0.2, -0.19]
         assert grid[21].tolist() == [0.0, -0.19, -0.2]

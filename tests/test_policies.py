@@ -1,14 +1,13 @@
-import warnings
-
 import numpy as np
 import pytest
 
-from quotamatch.ae import solve_ae
+from quotamatch.ae import solve_ae, solve_ae_grid
 from quotamatch.eae import solve_eae
 from quotamatch.experiments import (
+    BB_SUBSIDY_AXIS,
+    BB_TAX_AXIS,
     CAP_GRID,
     UPPER_BOUND_GRID,
-    default_tax_grid,
     gen_jrmp_market,
     sweep_policies,
 )
@@ -19,11 +18,10 @@ from quotamatch.policies import (
     cap_reduced_ae,
     eae_upper_bound,
     extend_capped_matching,
-    prepare_bbae_grid,
-    select_bbae,
+    policy_result,
+    tax_grid,
     welfare_ordering_check,
 )
-from quotamatch.welfare import breakdown
 
 
 @pytest.fixture(scope="module")
@@ -33,18 +31,24 @@ def jrmp():
 
 
 FLOORS = {"z2": 0.2, "z3": 0.2}
+#: floor levels of the exhaustive-scan tests
+SCAN_LEVELS = (0.2, 0.3)
 
 
 def eae_policy(spec, phi, floors):
     eq = solve_eae(spec.with_quotas(lower=floors), phi)
-    return PolicyResult(
-        policy="eae",
-        equilibrium=eq,
-        search_parameter=None,
-        welfare=breakdown(eq, phi, spec),
-        feasible=eq.diagnostics.converged,
-        evaluated_matching=eq.matching,
-    )
+    return policy_result("eae", eq, phi, spec, eq.diagnostics.converged)
+
+
+def default_grid(spec):
+    return tax_grid(spec, "z1", BB_TAX_AXIS, BB_SUBSIDY_AXIS)
+
+
+def assert_feasible_prefix(feasibility):
+    """Feasibility along an ascending grid is a run of True followed by a run
+    of False: once lost as the cap grows, it does not come back."""
+    k = feasibility.index(False) if False in feasibility else len(feasibility)
+    assert feasibility == [True] * k + [False] * (len(feasibility) - k), feasibility
 
 
 class TestUpperBoundPolicy:
@@ -56,25 +60,14 @@ class TestUpperBoundPolicy:
 
     def test_accepted_value_matches_exhaustive_scan(self, jrmp):
         spec, phi = jrmp
-        result = eae_upper_bound(spec, phi, FLOORS, UPPER_BOUND_GRID, "z1")
-        feasibility = []
-        for cap in UPPER_BOUND_GRID:
-            eq = solve_eae(spec.with_quotas(upper={"z1": cap}, lower={}), phi)
-            masses = region_masses(eq.matching, spec)
-            feasibility.append(bool(masses[1] >= 0.2 - 1e-8 and masses[2] >= 0.2 - 1e-8))
-        want = UPPER_BOUND_GRID[feasibility.index(True)]
-        assert result.feasible
-        assert result.search_parameter == want
-        # The spec expects upward monotone acceptance; measured feasibility on
-        # these markets is downward monotone, so report rather than assert.
-        accepted = [cap for cap, ok in zip(UPPER_BOUND_GRID, feasibility) if ok]
-        if any(
-            not ok for cap, ok in zip(UPPER_BOUND_GRID, feasibility) if cap > min(accepted)
-        ):
-            warnings.warn(
-                "grid feasibility is not upward monotone on this market: "
-                f"feasible caps = {accepted[:3]}..{accepted[-1:]}"
-            )
+        capped = [spec.with_quotas(upper={"z1": cap}, lower={}) for cap in UPPER_BOUND_GRID]
+        outcomes = [region_masses(solve_eae(c, phi).matching, spec) for c in capped]
+        for level in SCAN_LEVELS:
+            result = eae_upper_bound(spec, phi, {"z2": level, "z3": level}, UPPER_BOUND_GRID, "z1")
+            feasibility = [bool(m[1] >= level - 1e-8 and m[2] >= level - 1e-8) for m in outcomes]
+            assert_feasible_prefix(feasibility)
+            assert result.feasible
+            assert result.search_parameter == UPPER_BOUND_GRID[feasibility.index(True)]
 
     def test_policy_collects_only_taxes(self, jrmp):
         spec, phi = jrmp
@@ -92,7 +85,7 @@ class TestUpperBoundPolicy:
 class TestCapReducedPolicy:
     def test_grid_anchored_at_original_capacity_reproduces_free_market(self, jrmp):
         spec, phi = jrmp
-        result = cap_reduced_ae(spec, phi, {"z2": 0.0, "z3": 0.0}, [0.25], cap_slots=["y1", "y2"])
+        result = cap_reduced_ae(spec, phi, {"z2": 0.0, "z3": 0.0}, [0.25], "z1")
         free = solve_ae(spec, phi)
         assert result.feasible
         assert result.search_parameter == 0.25
@@ -101,19 +94,18 @@ class TestCapReducedPolicy:
 
     def test_accepted_value_matches_exhaustive_scan(self, jrmp):
         spec, phi = jrmp
-        result = cap_reduced_ae(spec, phi, FLOORS, CAP_GRID, cap_slots=["y1", "y2"])
-        want = None
-        for cap in CAP_GRID:
-            eq = solve_ae(spec.with_slot_masses({"y1": cap, "y2": cap}), phi)
-            masses = region_masses(eq.matching, spec)
-            if masses[1] >= 0.2 - 1e-8 and masses[2] >= 0.2 - 1e-8:
-                want = cap
-                break
-        assert result.feasible and result.search_parameter == want
+        reduced = [spec.with_slot_masses({"y1": cap, "y2": cap}) for cap in CAP_GRID]
+        outcomes = [region_masses(solve_ae(r, phi).matching, spec) for r in reduced]
+        for level in SCAN_LEVELS:
+            result = cap_reduced_ae(spec, phi, {"z2": level, "z3": level}, CAP_GRID, "z1")
+            feasibility = [bool(m[1] >= level - 1e-8 and m[2] >= level - 1e-8) for m in outcomes]
+            assert_feasible_prefix(feasibility)
+            assert result.feasible
+            assert result.search_parameter == CAP_GRID[feasibility.index(True)]
 
     def test_extended_matching_restores_true_slot_masses(self, jrmp):
         spec, phi = jrmp
-        result = cap_reduced_ae(spec, phi, FLOORS, CAP_GRID, cap_slots=["y1", "y2"])
+        result = cap_reduced_ae(spec, phi, FLOORS, CAP_GRID, "z1")
         extended = result.evaluated_matching
         slot_totals = extended.matched.sum(axis=0) + extended.unmatched_slots
         assert np.abs(slot_totals - spec.m).max() < 1e-9
@@ -132,7 +124,7 @@ class TestCapReducedPolicy:
 class TestBudgetBalancedPolicy:
     def test_singleton_zero_grid_reproduces_free_market(self, jrmp):
         spec, phi = jrmp
-        result = bbae(spec, phi, {"z2": 0.0, "z3": 0.0}, np.zeros((1, 3)))
+        [result] = bbae(spec, phi, [{"z2": 0.0, "z3": 0.0}], np.zeros((1, 3)))
         free = solve_ae(spec, phi)
         assert result.feasible
         assert np.all(result.search_parameter == 0.0)
@@ -140,15 +132,15 @@ class TestBudgetBalancedPolicy:
 
     def test_budget_constraint_holds(self, jrmp):
         spec, phi = jrmp
-        result = bbae(spec, phi, FLOORS, default_tax_grid())
+        [result] = bbae(spec, phi, [FLOORS], default_grid(spec))
         assert result.welfare.pm_surplus >= -1e-12
         assert result.feasible
 
     def test_selection_maximizes_welfare_over_kept_set(self, jrmp):
         spec, phi = jrmp
-        grid = default_tax_grid()
-        gs = prepare_bbae_grid(spec, phi, grid)
-        chosen = select_bbae(gs, spec, phi, FLOORS)
+        grid = default_grid(spec)
+        gs = solve_ae_grid(spec, phi, grid)
+        [chosen] = bbae(spec, phi, [FLOORS], grid)
         # Brute-force re-evaluation of every kept grid point.
         from quotamatch.welfare import social_welfare
 
@@ -162,8 +154,6 @@ class TestBudgetBalancedPolicy:
             # The grid prices every point once, as this loop does.
             assert gs.revenue[g] == pytest.approx(pm, rel=0, abs=1e-12)
             assert gs.social_welfare[g] == pytest.approx(social, rel=0, abs=1e-12)
-            net = float((mu.matched * (np.asarray(phi.phi) - w_slot[None, :])).sum())
-            assert gs.net_agent_surplus[g] == pytest.approx(net, rel=0, abs=1e-12)
             masses = region_masses(mu, spec)
             if pm < -1e-12 or masses[1] < 0.2 - 1e-8 or masses[2] < 0.2 - 1e-8:
                 continue
@@ -176,10 +166,9 @@ class TestBudgetBalancedPolicy:
         sweep = sweep_policies(spec, phi, levels, "z1", ("z2", "z3"))
         for level, results in zip(levels, sweep):
             swept = next(r for r in results if r.policy == "bbae")
-            fresh = bbae(spec, phi, {"z2": level, "z3": level}, default_tax_grid())
+            [fresh] = bbae(spec, phi, [{"z2": level, "z3": level}], default_grid(spec))
             assert np.array_equal(swept.search_parameter, fresh.search_parameter)
             assert swept.feasible == fresh.feasible
-            assert swept.selection_value == fresh.selection_value
             assert swept.welfare == fresh.welfare
             mu, want = swept.evaluated_matching, fresh.evaluated_matching
             assert mu.matched.tobytes() == want.matched.tobytes()
@@ -188,11 +177,12 @@ class TestBudgetBalancedPolicy:
 
     def test_net_agent_surplus_reported(self, jrmp):
         spec, phi = jrmp
-        result = bbae(spec, phi, FLOORS, default_tax_grid())
+        [result] = bbae(spec, phi, [FLOORS], default_grid(spec))
         mu = result.equilibrium.matching
         w_slot = result.equilibrium.taxes.per_slot(spec)
         want = float((mu.matched * (np.asarray(phi.phi) - w_slot[None, :])).sum())
-        assert result.selection_value == pytest.approx(want, abs=1e-8)
+        net = result.welfare.match_surplus - result.welfare.pm_surplus
+        assert net == pytest.approx(want, abs=1e-8)
 
 
 class TestOrderingCheck:
@@ -200,9 +190,9 @@ class TestOrderingCheck:
         spec, phi = jrmp
         results = [
             eae_policy(spec, phi, FLOORS),
-            bbae(spec, phi, FLOORS, default_tax_grid()),
+            *bbae(spec, phi, [FLOORS], default_grid(spec)),
             eae_upper_bound(spec, phi, FLOORS, UPPER_BOUND_GRID, "z1"),
-            cap_reduced_ae(spec, phi, FLOORS, CAP_GRID, cap_slots=["y1", "y2"]),
+            cap_reduced_ae(spec, phi, FLOORS, CAP_GRID, "z1"),
         ]
         report = welfare_ordering_check(results)
         assert report.ok, str(report)
