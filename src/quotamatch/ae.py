@@ -8,7 +8,16 @@ root of its unmatched mass that is solvable in closed form. Alternating the
 worker-side and slot-side solves is a proportional-fitting iteration that
 keeps the kernel relation exact at every step; convergence is measured by the
 worst absolute population residual, which directly certifies the equilibrium
-population condition.
+population condition. The roots are taken with ``hypot``, so no step squares a
+kernel-sized number and the whole range of :func:`build_kernel` is usable.
+
+The sweeps converge linearly, and their rate tends to one as unmatched masses
+vanish. Once they have brought the residual below a switch, or stall, each
+sweep is followed by a Newton trial on the worker equations with the slot side
+eliminated exactly. The step is taken in log a under a trust radius and is
+kept where it lowers the residual or the convex potential whose block
+minimization the sweeps are (:func:`_ipfp`); the Jacobian is the Schur
+complement that :func:`fixed_point_tangent` also solves with.
 """
 
 from __future__ import annotations
@@ -42,6 +51,18 @@ __all__ = [
 
 #: exponent bound beyond which exp() would overflow a double
 _EXP_LIMIT = 700.0
+#: a sweep is followed by a Newton trial once the worst population residual
+#: is below _NEWTON_SWITCH, or when it stays above _STALL times its value
+#: after the previous sweep
+_NEWTON_SWITCH = 1e-3
+_STALL = 0.9
+#: relative rounding error allowed in the fixed point's potential: near the
+#: solution a Newton step lowers it by less than it can resolve
+_ROUNDING = 1e-12
+#: smallest share of its degree a Jacobian excess is given, so that LU keeps
+#: about half the digits of the Newton step (the square root of the double
+#: precision epsilon)
+_RESOLVED = 1.5e-8
 
 
 class KernelRangeError(ValueError):
@@ -88,26 +109,134 @@ def _ipfp(n, m, kernel, tol, max_iterations, a0=None, b0=None, scale=1.0):
     masses; residual is the worst population residual over every market.
     The slot side is exact after every sweep by construction, so the
     residual is dominated by the worker side.
+
+    A sweep that leaves the worst residual below ``_NEWTON_SWITCH``, or above
+    ``_STALL`` times its previous value, is followed by one Newton trial
+    per market on the worker equations F(a) = a**2 + a (K b(a)) - n, with
+    the slot side b(a) eliminated exactly (:func:`_log_jacobian`). The step
+    is taken in log a, so a stays positive, and each component is clipped to
+    a per-market trust radius. The radius doubles after a kept clipped step;
+    after a rejected one it is half the length tried, but no less than a
+    tenth of an e-fold, so that rejections where rounding hides progress
+    cannot shrink it to nothing. A market keeps its trial where it lowers
+    the convex potential whose block minimization the sweeps are, or lowers
+    the population residual without raising the potential beyond its
+    rounding error; otherwise the plain sweep stands. Near saturation the
+    residual is flat over many orders of magnitude of a, and only the
+    potential registers progress. ``iterations`` counts sweeps.
     """
     a = np.sqrt(n / 2.0) if a0 is None else np.array(a0, dtype=np.float64)
     b = np.sqrt(m / 2.0) if b0 is None else np.array(b0, dtype=np.float64)
     # Each half-sweep takes the positive root of x**2 + s*x - c = 0 as
-    # 2c / (s + sqrt(s*s + 4c)), which avoids cancellation when s is large.
-    two_n, four_n, two_m, four_m = 2.0 * n, 4.0 * n, 2.0 * m, 4.0 * m
-    s = (b * scale) @ kernel.T
-    residual = np.inf
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        a = two_n / (s + np.sqrt(s * s + four_n))
+    # 2c / (s + hypot(s, 2 sqrt c)), which avoids cancellation when s is large
+    # and, unlike s*s, does not overflow for any representable s.
+    two_n, root_n, two_m, root_m = 2.0 * n, 2.0 * np.sqrt(n), 2.0 * m, 2.0 * np.sqrt(m)
+
+    def slot_half_sweep(a):
         t = (a @ kernel) * scale
-        b = two_m / (t + np.sqrt(t * t + four_m))
-        s = (b * scale) @ kernel.T
-        worker_res = np.abs(a * a + a * s - n).max()
-        slot_res = np.abs(b * b + b * t - m).max()
-        residual = float(max(worker_res, slot_res))
-        if residual <= tol:
+        b = two_m / (t + np.hypot(t, root_m))
+        return t, b, (b * scale) @ kernel.T
+
+    def residuals(worker, slot):
+        return np.maximum(np.abs(worker).max(axis=-1), np.abs(slot).max(axis=-1))
+
+    def potential(a, b, s):
+        # sum(a**2 + b**2) / 2 + sum(mu) - n.log a - m.log b; its gradients
+        # in log a and log b are the worker and slot residuals.
+        return (
+            0.5 * ((a * a).sum(axis=-1) + (b * b).sum(axis=-1))
+            + (a * s).sum(axis=-1)
+            - np.log(a) @ n
+            - np.log(b) @ m
+        )
+
+    s = (b * scale) @ kernel.T
+    radius = np.ones(s.shape[:-1])
+    worst = np.inf
+    for iterations in range(1, max_iterations + 1):
+        a = two_n / (s + np.hypot(s, root_n))
+        t, b, s = slot_half_sweep(a)
+        worker, slot = a * a + a * s - n, b * b + b * t - m
+        worst, last = max(np.abs(worker).max(), np.abs(slot).max()), worst
+        if worst <= tol:
             break
-    return a, b, iterations, residual
+        if worst >= _NEWTON_SWITCH and worst < _STALL * last:
+            continue
+        res = residuals(worker, slot)
+        # A trial far from the solution may overflow; it is then rejected,
+        # and its floating-point flags are discarded with it.
+        with np.errstate(all="ignore"):
+            cross, excess = _log_jacobian(a, b, kernel, scale)[:2]
+            try:
+                step = _solve_log_jacobian(cross, excess, -worker[..., None])[..., 0]
+            except np.linalg.LinAlgError:
+                continue
+            longest = np.abs(step).max(axis=-1)
+            a_new = a * np.exp(np.clip(step, -radius[..., None], radius[..., None]))
+            t_new, b_new, s_new = slot_half_sweep(a_new)
+            res_new = residuals(a_new * a_new + a_new * s_new - n, b_new * b_new + b_new * t_new - m)
+            before, after = potential(a, b, s), potential(a_new, b_new, s_new)
+            keep = (after < before) | ((res_new < res) & (after <= before + _ROUNDING * np.abs(before)))
+        grown = np.where(longest > radius, 2.0 * radius, radius)
+        shrunk = np.maximum(0.5 * np.minimum(radius, longest), 0.1)
+        radius = np.where(keep, grown, shrunk)
+        a = np.where(keep[..., None], a_new, a)
+        b = np.where(keep[..., None], b_new, b)
+        s = np.where(keep[..., None], s_new, s)
+        worst = np.where(keep, res_new, res).max()
+        if worst <= tol:
+            break
+    return a, b, iterations, float(worst)
+
+
+def _log_jacobian(a, b, kernel, scale=1.0):
+    """Jacobian of the worker residual in log a, the slot side eliminated.
+
+    For F_x = a_x**2 + a_x (K b)_x - n_x and G_y = b_y**2 + b_y (K'a)_y - m_y
+    on the kernel K = ``kernel * scale`` this is H = dF/dlog a along G = 0,
+    H = diag(excess + cross 1) - cross with
+    cross_xz = sum_y (a_x K_xy)(a_z K_zy) b_y / d_b_y for x != z and
+    excess_x = 2 a_x**2 + 2 sum_y a_x K_xy b_y**2 / d_b_y, where
+    d_b = 2b + K'a. It is the Hessian of the reduced potential: symmetric,
+    positive definite, a graph Laplacian plus a positive diagonal. Its parts
+    are sums of positive terms bounded by the matched masses, so none
+    cancels and none overflows where the masses do not. With a (G, M)
+    ``scale`` and stacked (G, N) ``a``, (G, M) ``b`` it returns G of each.
+    Returns (cross, excess, d_b).
+    """
+    d_b = 2.0 * b + (a @ kernel) * scale
+    # b / d_b can underflow where a saturated slot faces a large kernel, so
+    # it is never formed: share = a_x K_xy / d_b_y is at most one, and the
+    # off-diagonal factor a_x K_xy sqrt(b_y / d_b_y) is share sqrt(b_y d_b_y).
+    share = a[..., :, None] * kernel
+    share *= (scale / d_b)[..., None, :] if np.ndim(scale) else 1.0 / d_b
+    excess = 2.0 * a * a + 2.0 * np.einsum("...xy,...y->...x", share, b * b)
+    root = share
+    root *= (np.sqrt(b) * np.sqrt(d_b))[..., None, :]
+    cross = root @ root.swapaxes(-1, -2)
+    diagonal = np.arange(a.shape[-1])
+    cross[..., diagonal, diagonal] = 0.0
+    return cross, excess, d_b
+
+
+def _solve_log_jacobian(cross, excess, rhs):
+    """Solve H x = rhs for H = diag(excess + cross 1) - cross, rhs (..., N, D).
+
+    ``cross`` is overwritten with H.
+
+    Where several workers hang on one saturated slot, their excess falls far
+    below the rounding error of their diagonal: LU cannot resolve the
+    direction in which they move together, and the right-hand side along it
+    is rounding noise. Each excess is therefore raised to at least
+    ``_RESOLVED`` of its degree before the solve. That leaves resolved
+    systems alone and damps the unresolved direction, Levenberg-Marquardt
+    style, to a step that a real residual still makes long.
+    """
+    degree = cross.sum(axis=-1)
+    hessian = np.negative(cross, out=cross)
+    diagonal = np.arange(cross.shape[-1])
+    hessian[..., diagonal, diagonal] = np.maximum(excess, _RESOLVED * degree) + degree
+    return np.linalg.solve(hessian, rhs)
 
 
 def fixed_point_tangent(a, b, kernel, r, s):
@@ -117,16 +246,13 @@ def fixed_point_tangent(a, b, kernel, r, s):
     G_y = b_y**2 + b_y (K'a)_y - m_y = 0 with dK = K * dpsi / 2. A direction
     dpsi enters only through ``r`` (N, D), r_x = sum_y mu_xy dpsi_xy / 2, and
     ``s`` (M, D), s_y = sum_x mu_xy dpsi_xy / 2. The diagonal slot block is
-    eliminated, so one N x N solve serves all D directions. Returns (da, db)
-    of shapes (N, D) and (M, D).
+    eliminated (:func:`_log_jacobian`), so one N x N solve serves all D
+    directions. Returns (da, db) of shapes (N, D) and (M, D).
     """
+    cross, excess, d_b = _log_jacobian(a, b, kernel)
     aK = a[:, None] * kernel
-    bKt = (kernel * b[None, :]).T
-    d_a = 2.0 * a + kernel @ b
-    d_b = 2.0 * b + kernel.T @ a
-    schur = np.diag(d_a) - aK @ (bKt / d_b[:, None])
-    da = np.linalg.solve(schur, aK @ (s / d_b[:, None]) - r)
-    db = -(s + bKt @ da) / d_b[:, None]
+    da = a[:, None] * _solve_log_jacobian(cross, excess, aK @ (s / d_b[:, None]) - r)
+    db = -(s + (kernel * b[None, :]).T @ da) / d_b[:, None]
     return da, db
 
 

@@ -195,20 +195,32 @@ def solve_eae(
 
     # Newton polish on the binding set. A region binds at its ceiling when
     # taxed or over the ceiling, at its floor when subsidized or under the
-    # floor; every other region is untaxed.
+    # floor; every other region is untaxed. Near saturation region mass
+    # barely moves with the tax and the inner solve resolves it only to the
+    # population tolerance, so the Jacobian there can point anywhere: a step
+    # that takes a settled gap (within half the tolerance) out again is
+    # undone, and the polish stops at the settled taxes.
     w = search.x[:L] - search.x[L:]
     half_tol = 0.5 * cfg.constraint_tolerance
     polish_steps = 0
     step = np.inf
+    settled = None
     while True:
         masses = inner.solve(w)
         ceiling = (w > 0.0) | (masses > spec.upper + half_tol)
         floor = ~ceiling & ((w < 0.0) | (masses < spec.lower - half_tol))
         active = ceiling | floor
         gap = masses[active] - np.where(ceiling, spec.upper, spec.lower)[active]
+        within = np.abs(gap).max(initial=0.0) <= half_tol
+        if settled is not None and not within:
+            w = settled
+            masses = inner.solve(w)
+            break
+        if within:
+            settled = w
         if (
             not active.any()
-            or (np.abs(gap).max() <= half_tol and step <= cfg.tax_tolerance)
+            or (within and step <= cfg.tax_tolerance)
             or polish_steps == _POLISH_STEPS
         ):
             break

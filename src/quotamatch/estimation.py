@@ -11,7 +11,10 @@ the observed matches.
 The outer search is BFGS with the exact gradient of the divergence: the
 surplus is linear in the coefficients, so each coefficient is one direction
 of :func:`quotamatch.ae.fixed_point_tangent`, and one linear solve per
-evaluation differentiates the implied matching in all of them.
+evaluation differentiates the implied matching in all of them. Each
+evaluation warm-starts the fixed point from the unmatched masses of the
+previous one (Rust, *Econometrica* 1987), so once BFGS takes short steps an
+inner solve needs a sweep or two.
 
 Taxes are held fixed at their observed values throughout. Observed matchings
 must be strictly positive on every type pair; zero cells are rejected rather
@@ -155,9 +158,9 @@ def kl_divergence(observed: Matching, simulated: Matching) -> float:
     return float((p[positive] * np.log(p[positive] / q[positive])).sum())
 
 
-def _simulate(spec, model, c, w, inner_cfg):
+def _simulate(spec, model, c, w, inner_cfg, initial=None):
     phi = surplus_from_covariates(model, c)
-    result = solve_ae(spec, phi, w, inner_cfg)
+    result = solve_ae(spec, phi, w, inner_cfg, initial)
     if not result.diagnostics.converged:
         raise EstimationError(
             f"inner solve did not converge at coefficients {model.coefficients.tolist()}"
@@ -248,9 +251,11 @@ def estimate(
 
     report = FitReport()
     best = {"kl": np.inf, "lam": x0.copy()}
+    last = {"roots": None}
 
     def objective(lam: np.ndarray) -> tuple[float, np.ndarray]:
-        mu = _simulate(spec, SurplusModel(lam), c, w, cfg.inner)
+        mu = _simulate(spec, SurplusModel(lam), c, w, cfg.inner, last["roots"])
+        last["roots"] = (np.sqrt(mu.unmatched_workers), np.sqrt(mu.unmatched_slots))
         kl = kl_divergence(observed, mu)
         report.n_evals += 1
         if kl < best["kl"]:

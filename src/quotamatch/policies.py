@@ -216,8 +216,10 @@ def bbae(
     the reduction is independent of evaluation order). With an empty kept
     set it falls back to all budget-balanced rows and the result is flagged
     infeasible. The winner is re-solved alone for its utilities and
-    diagnostics.
+    diagnostics. With no floor levels nothing is solved.
     """
+    if not floor_levels:
+        return []
     solved = solve_ae_grid(spec, phi, grid)
     balanced = solved.revenue >= -1e-12
     results = []

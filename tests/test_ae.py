@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import descent_matching_at_taxes, quadratic_single_pair
 from conftest import random_market
@@ -12,6 +16,7 @@ from quotamatch.ae import (
     solve_ae,
     solve_ae_grid,
 )
+from quotamatch.eae import verify_kkt
 from quotamatch.market import MarketSpec, region_masses
 
 
@@ -118,6 +123,14 @@ class TestSolveAe:
         warm = solve_ae(spec, phi, np.array([0.2, 0.0]), initial=(a0, b0))
         assert np.abs(warm.matching.matched - cold.matching.matched).max() < 1e-9
 
+    def test_converges_near_exponent_limit_without_overflow(self, single_pair):
+        # A kernel exponent of 360: squaring K b would overflow a double.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = solve_ae(single_pair, np.array([[720.0]]))
+        assert result.diagnostics.converged
+        assert result.matching.matched[0, 0] == pytest.approx(1.0, abs=1e-10)
+
     def test_dprime_duality_gap_small(self, example_market):
         spec, phi = example_market
         result = solve_ae(spec, phi, np.array([0.4, -0.1]))
@@ -198,3 +211,106 @@ class TestGridSolve:
         assert np.abs(batch.matched[0] - single.matching.matched).max() < 1e-12
         assert np.abs(batch.unmatched_workers[0] - single.matching.unmatched_workers).max() < 1e-12
         assert np.abs(batch.unmatched_slots[0] - single.matching.unmatched_slots).max() < 1e-12
+
+
+def one_region_market(n, m, phi):
+    n, m = np.asarray(n, dtype=np.float64), np.asarray(m, dtype=np.float64)
+    spec = MarketSpec(
+        tuple(f"x{i}" for i in range(n.size)),
+        tuple(f"y{j}" for j in range(m.size)),
+        ("z",),
+        n,
+        m,
+        {f"y{j}": "z" for j in range(m.size)},
+        np.array([np.inf]),
+        np.zeros(1),
+    )
+    return spec, np.asarray(phi, dtype=np.float64)
+
+
+@st.composite
+def extreme_markets(draw, surplus_limit):
+    """Up to 3 x 3 markets with masses from 1e-6 to 1e3 and surplus within
+    +-surplus_limit."""
+    num_workers = draw(st.integers(1, 3))
+    num_slots = draw(st.integers(1, 3))
+    exponents = st.floats(-6.0, 3.0)
+    n = 10.0 ** np.array(draw(st.lists(exponents, min_size=num_workers, max_size=num_workers)))
+    m = 10.0 ** np.array(draw(st.lists(exponents, min_size=num_slots, max_size=num_slots)))
+    surplus = st.floats(-surplus_limit, surplus_limit)
+    size = num_workers * num_slots
+    phi = np.array(draw(st.lists(surplus, min_size=size, max_size=size)))
+    return one_region_market(n, m, phi.reshape(num_workers, num_slots))
+
+
+#: Markets where the worker side is the long side of a pair with a large
+#: surplus: the population residual sits at n - m while a grows by a factor
+#: n / m per sweep, so plain sweeps crawl for thousands of sweeps or stall.
+SATURATED_SIDE = [
+    ([1.01], [1.0], [[100.0]]),
+    ([1.1], [1.0], [[1360.0]]),
+    ([0.3244], [0.314], [[1360.0]]),
+    ([0.0816, 0.3244], [0.3142], [[184.17], [1360.15]]),
+]
+
+
+class TestExtremeMarkets:
+    @pytest.mark.parametrize("n, m, phi", SATURATED_SIDE)
+    def test_saturated_side_converges_in_few_sweeps(self, n, m, phi):
+        spec, phi = one_region_market(n, m, phi)
+        result = solve_ae(spec, phi)
+        assert result.diagnostics.converged
+        assert result.diagnostics.inner_iterations <= 100
+
+    # Zero taxes, so a surplus of 1400 is a kernel exponent of 700, the
+    # range limit of build_kernel.
+    @settings(max_examples=150, deadline=None)
+    @given(extreme_markets(surplus_limit=1400.0))
+    @example(one_region_market([1.0], [1.0], [[1400.0]]))
+    @example(one_region_market([1e-6, 1e3], [1e3, 1e-6], [[1400.0, -1400.0], [-1400.0, 1400.0]]))
+    # Workers that hang on one saturated slot: their Jacobian block is
+    # singular up to less than its rounding error.
+    @example(one_region_market([1.0] * 3, [1.0] * 3, [[0.0, 0.0, 302.0], [0.0, 0.0, 274.0], [0.0] * 3]))
+    @example(one_region_market([1.0, 1e-3, 1.0], [1.0, 1.0], [[0.0, 0.0], [0.0, 233.0], [0.0, 247.0]]))
+    @example(one_region_market([1.0, 1e-3, 1.0], [1.0, 1.0], [[0.0, 759.0], [0.0, 761.0], [0.0, 0.0]]))
+    # A log-space Newton step overshoots a saturated worker by about twice
+    # its distance; only a shorter trial is kept.
+    @example(one_region_market([1.0000002744895709, 1.0, 10.0], [1.0, 1.0], [[0.0, 305.25], [87.0, 0.0], [280.0, 0.0]]))
+    # Saturated square markets with equal total masses on both sides: all
+    # workers moving together against all slots changes the residual by
+    # less than its rounding.
+    @example(one_region_market([1.0] * 3, [1.0] * 3, [[0.0, 1400.0, 1088.0], [571.0, 0.0, 0.0], [616.0, 620.0, 0.0]]))
+    @example(one_region_market([1.0, 100.0], [100.0, 1.0], [[1351.0, 234.0], [1344.0, 0.0]]))
+    # Two saturated pairs of equal masses share a slot: the step along the
+    # direction they move together is lost in rounding and must not block
+    # the steps of the other workers.
+    @example(
+        one_region_market(
+            [3.65174127e-4, 1.0, 1.0],
+            [3.65174127e-4, 1.0, 1.0],
+            [[895.0, 0.0, 1264.0], [0.0, 0.0, 866.0], [0.0, 33.0, 0.0]],
+        )
+    )
+    def test_converges_and_certifies(self, case):
+        spec, phi = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = solve_ae(spec, phi)
+            report = verify_kkt(result, spec, phi, tol=1e-8)
+        assert result.diagnostics.converged
+        assert report.passed, report
+
+    # The descent oracle is accurate to about 2e-8 of the largest mass while
+    # the surplus stays moderate; far beyond that its quasi-Newton search
+    # stops short of the equilibrium, so it is not a reference there. The
+    # solve itself is exact only to its absolute population tolerance.
+    @settings(max_examples=60, deadline=None)
+    @given(extreme_markets(surplus_limit=40.0))
+    @example(one_region_market([1e-5], [1e-5], [[0.1875]]))
+    def test_matches_descent_oracle(self, case):
+        spec, phi = case
+        result = solve_ae(spec, phi)
+        oracle = descent_matching_at_taxes(spec, phi, np.zeros(1))
+        assert result.diagnostics.converged
+        bound = 1e-6 * max(spec.n.max(), spec.m.max()) + 10.0 * IpfpConfig().population_tolerance
+        assert np.abs(result.matching.matched - oracle.matched).max() <= bound

@@ -263,8 +263,9 @@ def test_counterfactual_rows_equal_sweep_records(tmp_path):
 
 
 def test_counterfactual_infeasible_floor_exits_three_with_other_rows(tmp_path, capsys):
-    # The floor region must take all but 1e-15 of the workers, which needs a
-    # subsidy beyond the admissible bracket (as in the single-pair case).
+    # Matching into the floor region loses 200 of surplus, so holding half of
+    # the workers there needs a subsidy of about 200, far beyond the
+    # admissible bracket (as in the single-pair case).
     from quotamatch.market import MarketSpec
 
     spec = MarketSpec(
@@ -276,11 +277,11 @@ def test_counterfactual_infeasible_floor_exits_three_with_other_rows(tmp_path, c
     market = tmp_path / "market.json"
     save_market(spec, market)
     surplus = tmp_path / "phi.json"
-    _write_json({"phi": [[0.0, 0.0]]}, surplus)
+    _write_json({"phi": [[0.0, -200.0]]}, surplus)
     out = tmp_path / "policies.csv"
     code = main([
         "counterfactual", "--market", str(market), "--phi", str(surplus),
-        "--floors", repr(1.0 - 1e-15), "--urban-region", "z1",
+        "--floors", "0.5", "--urban-region", "z1",
         "--grid", "0.1:0.5:0.2", "--cap-grid", "0.1:0.5:0.2",
         "--tax-grid", "0:2:1", "--subsidy-grid=-0.2:0:0.1", "--out", str(out),
     ])
@@ -445,12 +446,12 @@ def test_out_of_range_surplus_exits_one(tmp_path, single_pair, capsys):
 
 
 def test_infeasible_market_exits_three(tmp_path, single_pair):
-    # A floor this close to the saturation point needs a subsidy beyond the
-    # admissible bracket, so the search reports infeasibility.
+    # At a surplus of -200 half of the workers match only under a subsidy of
+    # 200, beyond the admissible bracket, so the search reports infeasibility.
     market = tmp_path / "market.json"
-    save_market(single_pair.with_quotas(lower={"z": 1.0 - 1e-15}), market)
+    save_market(single_pair.with_quotas(lower={"z": 0.5}), market)
     surplus = tmp_path / "phi.json"
-    _write_json({"phi": [[0.0]]}, surplus)
+    _write_json({"phi": [[-200.0]]}, surplus)
     out = tmp_path / "r.json"
     code = main(["solve-eae", "--market", str(market), "--phi", str(surplus), "--out", str(out)])
     assert code == 3

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -285,4 +287,21 @@ class TestInfeasibility:
         result = solve_eae(spec, np.zeros((1, 1)))
         assert result.diagnostics.converged
         assert verify_kkt(result, spec, np.zeros((1, 1)), tol=1e-8).passed
-        assert result.taxes.w[0] == pytest.approx(-2 * np.log(9999.0), abs=1e-4)
+        assert result.taxes.w[0] == pytest.approx(-2 * np.log(9999.0), abs=1e-6)
+
+    def test_floor_within_1e15_of_saturation_ends_fast_and_typed(self, single_pair):
+        # The floor is met exactly only at a subsidy of about 69, just
+        # outside the bracket of 64; at the bracket the mass misses it by
+        # about 1.2e-14, well inside the constraint tolerance. Either
+        # outcome is acceptable, a certified result or InfeasibleQuotaError;
+        # an uncertified result or a stall is not.
+        spec = single_pair.with_quotas(lower={"z": 1.0 - 1e-15})
+        start = time.perf_counter()
+        try:
+            result = solve_eae(spec, np.zeros((1, 1)))
+        except InfeasibleQuotaError:
+            pass
+        else:
+            assert result.diagnostics.converged
+            assert verify_kkt(result, spec, np.zeros((1, 1)), tol=1e-8).passed
+        assert time.perf_counter() - start < 0.5

@@ -175,6 +175,16 @@ class TestBudgetBalancedPolicy:
             assert mu.unmatched_workers.tobytes() == want.unmatched_workers.tobytes()
             assert mu.unmatched_slots.tobytes() == want.unmatched_slots.tobytes()
 
+    def test_vacuous_floors_solve_no_grid(self, jrmp, monkeypatch):
+        def unused_grid(*args, **kwargs):
+            raise AssertionError("the budget-balance grid was solved")
+
+        monkeypatch.setattr("quotamatch.policies.solve_ae_grid", unused_grid)
+        spec, phi = jrmp
+        assert bbae(spec, phi, [], default_grid(spec)) == []
+        [results] = sweep_policies(spec, phi, [0.0], "z1", ("z2", "z3"))
+        assert [r.policy for r in results] == ["eae", "eae_upper_bound", "cap_reduced", "bbae"]
+
     def test_net_agent_surplus_reported(self, jrmp):
         spec, phi = jrmp
         [result] = bbae(spec, phi, [FLOORS], default_grid(spec))
