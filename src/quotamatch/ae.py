@@ -17,7 +17,11 @@ sweep is followed by a Newton trial on the worker equations with the slot side
 eliminated exactly. The step is taken in log a under a trust radius and is
 kept where it lowers the residual or the convex potential whose block
 minimization the sweeps are (:func:`_ipfp`); the Jacobian is the Schur
-complement that :func:`fixed_point_tangent` also solves with.
+complement that :meth:`FixedPoint.tangent` also solves with.
+
+One :class:`FixedPoint` holds a market's solution and warm-starts each solve
+from the last: :func:`solve_ae` is one cold solve, and the outer searches of
+:mod:`quotamatch.eae` and :mod:`quotamatch.estimation` keep one throughout.
 """
 
 from __future__ import annotations
@@ -42,8 +46,8 @@ from .market import (
 __all__ = [
     "IpfpConfig",
     "KernelRangeError",
+    "FixedPoint",
     "build_kernel",
-    "fixed_point_tangent",
     "solve_ae",
     "solve_ae_grid",
     "GridSolution",
@@ -239,77 +243,124 @@ def _solve_log_jacobian(cross, excess, rhs):
     return np.linalg.solve(hessian, rhs)
 
 
-def fixed_point_tangent(a, b, kernel, r, s):
-    """Tangent of the fixed point along D directions of surplus minus tax.
+class FixedPoint:
+    """The fixed point of one market, each solve warm-started from the last.
 
-    Implicit differentiation of F_x = a_x**2 + a_x (K b)_x - n_x = 0 and
-    G_y = b_y**2 + b_y (K'a)_y - m_y = 0 with dK = K * dpsi / 2. A direction
-    dpsi enters only through ``r`` (N, D), r_x = sum_y mu_xy dpsi_xy / 2, and
-    ``s`` (M, D), s_y = sum_x mu_xy dpsi_xy / 2. The diagonal slot block is
-    eliminated (:func:`_log_jacobian`), so one N x N solve serves all D
-    directions. Returns (da, db) of shapes (N, D) and (M, D).
+    ``a``, ``b`` (square roots of the unmatched masses) and ``kernel`` are
+    those of the last :meth:`solve`, which the other methods read;
+    ``iterations`` sums the sweeps of every solve, ``residual`` is the last's.
     """
-    cross, excess, d_b = _log_jacobian(a, b, kernel)
-    aK = a[:, None] * kernel
-    da = a[:, None] * _solve_log_jacobian(cross, excess, aK @ (s / d_b[:, None]) - r)
-    db = -(s + (kernel * b[None, :]).T @ da) / d_b[:, None]
-    return da, db
 
+    def __init__(self, spec: MarketSpec, cfg: IpfpConfig | None = None):
+        self.spec = spec
+        self.cfg = cfg or IpfpConfig()
+        self.a = self.b = self.kernel = None
+        self.iterations = 0
+        self.residual = np.inf
 
-def _utilities(a, b, phi_arr, w_slot):
-    half = 0.5 * (phi_arr - w_slot[None, :])
-    log_a = np.log(a)
-    log_b = np.log(b)
-    U = half + log_b[None, :] - log_a[:, None]
-    V = half + log_a[:, None] - log_b[None, :]
-    return U, V
+    def solve(self, phi, w) -> FixedPoint:
+        """Solve at surplus ``phi`` and per-region taxes ``w``; returns self."""
+        spec, cfg = self.spec, self.cfg
+        self.kernel = build_kernel(phi, w, spec)
+        self.a, self.b, iterations, self.residual = _ipfp(
+            spec.n, spec.m, self.kernel, cfg.population_tolerance, cfg.max_iterations,
+            self.a, self.b,
+        )
+        self.iterations += iterations
+        return self
 
+    @property
+    def converged(self) -> bool:
+        return self.residual <= self.cfg.population_tolerance
 
-def _matching(a, b, kernel):
-    return Matching(a[:, None] * b[None, :] * kernel, a * a, b * b)
+    def matching(self) -> Matching:
+        a, b = self.a, self.b
+        return Matching(a[:, None] * b[None, :] * self.kernel, a * a, b * b)
+
+    def region_masses(self) -> np.ndarray:
+        """Matched mass of every region."""
+        spec = self.spec
+        per_slot = (self.a[:, None] * self.b[None, :] * self.kernel).sum(axis=0)
+        return np.bincount(spec.slot_region_index, weights=per_slot, minlength=spec.num_regions)
+
+    def mass_jacobian(self) -> np.ndarray:
+        """Exact d(region mass)/d(tax), shape (L, L).
+
+        Raising w_z moves surplus minus tax by -[y in z]; region mass is the
+        sum of m_y - b_y**2 over its slots.
+        """
+        b = self.b
+        R = np.eye(self.spec.num_regions)[self.spec.slot_region_index]
+        mu = self.a[:, None] * self.kernel * b[None, :]
+        _, db = self.tangent(-0.5 * mu @ R, -0.5 * mu.sum(axis=0)[:, None] * R)
+        return -2.0 * R.T @ (b[:, None] * db)
+
+    def value(self) -> float:
+        """Equilibrium value W = G(U) + H(V).
+
+        In the logit closed form 1 + sum_y exp(U_xy) = n_x / a_x**2, and
+        likewise on the slot side.
+        """
+        n, m = self.spec.n, self.spec.m
+        return float(
+            (n * (np.log(n) - 2.0 * np.log(self.a))).sum()
+            + (m * (np.log(m) - 2.0 * np.log(self.b))).sum()
+        )
+
+    def tangent(self, r, s):
+        """Tangent of the fixed point along D directions of surplus minus tax.
+
+        Implicit differentiation of F_x = a_x**2 + a_x (K b)_x - n_x = 0 and
+        G_y = b_y**2 + b_y (K'a)_y - m_y = 0 with dK = K * dpsi / 2. A
+        direction dpsi enters only through ``r`` (N, D),
+        r_x = sum_y mu_xy dpsi_xy / 2, and ``s`` (M, D),
+        s_y = sum_x mu_xy dpsi_xy / 2. The diagonal slot block is eliminated
+        (:func:`_log_jacobian`), so one N x N solve serves all D directions.
+        Returns (da, db) of shapes (N, D) and (M, D).
+        """
+        a, b, kernel = self.a, self.b, self.kernel
+        cross, excess, d_b = _log_jacobian(a, b, kernel)
+        aK = a[:, None] * kernel
+        da = a[:, None] * _solve_log_jacobian(cross, excess, aK @ (s / d_b[:, None]) - r)
+        db = -(s + (kernel * b[None, :]).T @ da) / d_b[:, None]
+        return da, db
+
+    def utilities(self, phi_arr: np.ndarray, w: np.ndarray):
+        """Systematic utilities (U, V) at surplus array ``phi_arr`` and taxes ``w``."""
+        half = 0.5 * (phi_arr - w[self.spec.slot_region_index][None, :])
+        log_a = np.log(self.a)
+        log_b = np.log(self.b)
+        return half + log_b[None, :] - log_a[:, None], half + log_a[:, None] - log_b[None, :]
 
 
 def solve_ae(
-    spec: MarketSpec,
-    phi,
-    taxes=None,
-    cfg: IpfpConfig | None = None,
-    initial: tuple[np.ndarray, np.ndarray] | None = None,
+    spec: MarketSpec, phi, taxes=None, cfg: IpfpConfig | None = None
 ) -> EquilibriumResult:
     """Solve the tax-fixed aggregate equilibrium (quotas ignored).
 
     Population constraints are enforced to ``cfg.population_tolerance``; the
     demand and binding-surplus conditions hold by construction. On iteration
     exhaustion a partial result is returned with ``converged`` set to False.
-
-    ``initial`` optionally warm-starts the iteration with square roots of the
-    unmatched masses from a previous solve.
     """
-    cfg = cfg or IpfpConfig()
     phi_arr = as_surplus_array(phi, spec)
     w = as_tax_array(taxes, spec)
-    kernel = build_kernel(phi_arr, w, spec)
-    a0, b0 = initial if initial is not None else (None, None)
-    a, b, iterations, residual = _ipfp(
-        spec.n, spec.m, kernel, cfg.population_tolerance, cfg.max_iterations, a0, b0
-    )
-    w_slot = w[spec.slot_region_index]
-    U, V = _utilities(a, b, phi_arr, w_slot)
-    mu = _matching(a, b, kernel)
-    converged = residual <= cfg.population_tolerance
+    fp = FixedPoint(spec, cfg).solve(phi_arr, w)
+    U, V = fp.utilities(phi_arr, w)
+    mu = fp.matching()
+    net = phi_arr - w[spec.slot_region_index][None, :]
 
     dual = g_value(U, spec) + h_value(V, spec)
-    primal = float(matching_value(mu, phi_arr - w_slot[None, :], spec))
-    binding_res = float(np.abs(U + V - (phi_arr - w_slot[None, :])).max(initial=0.0))
+    primal = float(matching_value(mu, net, spec))
+    binding_res = float(np.abs(U + V - net).max(initial=0.0))
     diag = Diagnostics(
         dual_value=dual,
         primal_value=primal,
         duality_gap=abs(dual - primal),
-        max_kkt_residual=max(residual, binding_res),
-        inner_iterations=iterations,
+        max_kkt_residual=max(fp.residual, binding_res),
+        inner_iterations=fp.iterations,
         outer_iterations=0,
-        converged=converged,
-        tolerances={"population_tolerance": cfg.population_tolerance},
+        converged=fp.converged,
+        tolerances={"population_tolerance": fp.cfg.population_tolerance},
     )
     return EquilibriumResult(mu, SystematicUtilities(U, V), TaxScheme(w), diag)
 
@@ -387,22 +438,3 @@ def solve_ae_grid(
         residual=residual,
         converged=residual <= cfg.population_tolerance,
     )
-
-
-def consistency_residual(result: EquilibriumResult, phi, spec: MarketSpec) -> float:
-    """Max deviation of U + V from surplus minus tax over the matched block."""
-    phi_arr = as_surplus_array(phi, spec)
-    w_slot = result.taxes.per_slot(spec)
-    gap = result.utilities.U + result.utilities.V - (phi_arr - w_slot[None, :])
-    return float(np.abs(gap).max(initial=0.0))
-
-
-def fixed_point_residual(result: EquilibriumResult, phi, spec: MarketSpec) -> float:
-    """Worst population residual implied by the matching-function relation."""
-    kernel = build_kernel(phi, result.taxes, spec)
-    mu = result.matching
-    a = np.sqrt(mu.unmatched_workers)
-    b = np.sqrt(mu.unmatched_slots)
-    worker = mu.unmatched_workers + a * (kernel @ b) - spec.n
-    slot = mu.unmatched_slots + b * (kernel.T @ a) - spec.m
-    return float(max(np.abs(worker).max(), np.abs(slot).max()))

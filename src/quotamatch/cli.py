@@ -225,9 +225,12 @@ def _cmd_counterfactual(args) -> int:
     records = []
     status = EXIT_OK
     for floor, results in zip(floors, sweep):
+        infeasible = [r.policy for r in results if not r.feasible]
         if len(results) < len(POLICY_ORDER):
             print(f"floor {floor:g}: infeasible: no optimal-tax (eae) row", file=sys.stderr)
             status = EXIT_INFEASIBLE
+        elif infeasible:
+            print(f"floor {floor:g}: ordering not checked: infeasible {', '.join(infeasible)}")
         else:
             print(f"floor {floor:g}: {welfare_ordering_check(results, tol=1e-7)}")
         records.extend(

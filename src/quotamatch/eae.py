@@ -12,21 +12,22 @@ floor is zero. At its optimum a region whose mass lies inside its quota
 interval is untaxed, a taxed region has its mass exactly on its ceiling, and a
 subsidized region has its mass exactly on its floor.
 
-L-BFGS-B over (p, q) finds the binding regions, one warm-started fixed-point
-solve per evaluation. The fixed point's tolerance leaves noise in ``W`` that
-stalls L-BFGS-B short of the constraint tolerance, so a Newton polish with the
-exact Jacobian of region mass in the taxes then puts every binding region on
-its bound.
+L-BFGS-B over (p, q) finds the binding regions, one warm-started solve of a
+:class:`~quotamatch.ae.FixedPoint` per evaluation. The fixed point's tolerance
+leaves noise in ``W`` that stalls L-BFGS-B short of the constraint tolerance,
+so a Newton polish with the exact Jacobian of region mass in the taxes
+(:meth:`~quotamatch.ae.FixedPoint.mass_jacobian`) then puts every binding
+region on its bound.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import optimize
 
-from .ae import IpfpConfig, _ipfp, _matching, _utilities, build_kernel, fixed_point_tangent
+from .ae import FixedPoint, IpfpConfig
 from .logit import g_gradient, g_value, h_gradient, h_value, matching_value
 from .market import (
     Diagnostics,
@@ -93,66 +94,6 @@ class KKTReport:
     passed: bool
 
 
-class _InnerSolver:
-    """Warm-started tax-fixed solves shared across the outer search."""
-
-    def __init__(self, spec: MarketSpec, phi_arr: np.ndarray, cfg: EaeConfig):
-        self.spec = spec
-        self.phi = phi_arr
-        self.cfg = cfg
-        self.a = None
-        self.b = None
-        self.kernel = None
-        self.total_iterations = 0
-        self.last_converged = True
-
-    def solve(self, w: np.ndarray) -> np.ndarray:
-        """Solve at taxes ``w`` and return the per-region matched masses."""
-        kernel = build_kernel(self.phi, w, self.spec)
-        a, b, iters, residual = _ipfp(
-            self.spec.n,
-            self.spec.m,
-            kernel,
-            self.cfg.inner.population_tolerance,
-            self.cfg.inner.max_iterations,
-            self.a,
-            self.b,
-        )
-        self.a, self.b, self.kernel = a, b, kernel
-        self.total_iterations += iters
-        self.last_converged = residual <= self.cfg.inner.population_tolerance
-        per_slot = (a[:, None] * b[None, :] * kernel).sum(axis=0)
-        return np.bincount(
-            self.spec.slot_region_index, weights=per_slot, minlength=self.spec.num_regions
-        )
-
-    def value(self) -> float:
-        """Equilibrium value W = G(U) + H(V) at the last solve.
-
-        In the logit closed form 1 + sum_y exp(U_xy) = n_x / a_x**2, and
-        likewise on the slot side.
-        """
-        n, m = self.spec.n, self.spec.m
-        return float(
-            (n * (np.log(n) - 2.0 * np.log(self.a))).sum()
-            + (m * (np.log(m) - 2.0 * np.log(self.b))).sum()
-        )
-
-    def mass_jacobian(self) -> np.ndarray:
-        """Exact d(region mass)/d(tax), shape (L, L), at the last solve.
-
-        Raising w_z moves surplus minus tax by -[y in z]; region mass is the
-        sum of m_y - b_y**2 over its slots.
-        """
-        a, b, kernel = self.a, self.b, self.kernel
-        R = np.eye(self.spec.num_regions)[self.spec.slot_region_index]
-        mu = a[:, None] * kernel * b[None, :]
-        r = -0.5 * mu @ R
-        s = -0.5 * mu.sum(axis=0)[:, None] * R
-        _, db = fixed_point_tangent(a, b, kernel, r, s)
-        return -2.0 * R.T @ (b[:, None] * db)
-
-
 def solve_eae(
     spec: MarketSpec,
     phi,
@@ -172,13 +113,13 @@ def solve_eae(
     if not report.ok:
         raise ValueError(f"market is not admissible: {report}")
     phi_arr = as_surplus_array(phi, spec)
-    inner = _InnerSolver(spec, phi_arr, cfg)
+    fp = FixedPoint(spec, cfg.inner)
     L = spec.num_regions
     upper = np.where(np.isfinite(spec.upper), spec.upper, 0.0)
 
     def objective(x):
-        masses = inner.solve(x[:L] - x[L:])
-        value = inner.value() + upper @ x[:L] - spec.lower @ x[L:]
+        masses = fp.solve(phi_arr, x[:L] - x[L:]).region_masses()
+        value = fp.value() + upper @ x[:L] - spec.lower @ x[L:]
         return value, np.concatenate([upper - masses, masses - spec.lower])
 
     hi = np.concatenate([np.isfinite(spec.upper), spec.lower > 0.0]) * cfg.bracket_limit
@@ -206,7 +147,7 @@ def solve_eae(
     step = np.inf
     settled = None
     while True:
-        masses = inner.solve(w)
+        masses = fp.solve(phi_arr, w).region_masses()
         ceiling = (w > 0.0) | (masses > spec.upper + half_tol)
         floor = ~ceiling & ((w < 0.0) | (masses < spec.lower - half_tol))
         active = ceiling | floor
@@ -214,7 +155,7 @@ def solve_eae(
         within = np.abs(gap).max(initial=0.0) <= half_tol
         if settled is not None and not within:
             w = settled
-            masses = inner.solve(w)
+            masses = fp.solve(phi_arr, w).region_masses()
             break
         if within:
             settled = w
@@ -225,7 +166,7 @@ def solve_eae(
         ):
             break
         try:
-            delta = np.linalg.solve(inner.mass_jacobian()[np.ix_(active, active)], -gap)
+            delta = np.linalg.solve(fp.mass_jacobian()[np.ix_(active, active)], -gap)
         except np.linalg.LinAlgError:
             break
         target = np.zeros(L)
@@ -247,13 +188,11 @@ def solve_eae(
             f"unreachable within tax bracket [-{cfg.bracket_limit:g}, {cfg.bracket_limit:g}]"
         )
 
-    # The last inner solve was at the final tax vector, so the solver state
-    # (a, b, kernel) is consistent with w here.
-    w_slot = w[spec.slot_region_index]
-    U, V = _utilities(inner.a, inner.b, phi_arr, w_slot)
-    mu = _matching(inner.a, inner.b, inner.kernel)
+    # The last solve was at the final tax vector, so the fixed point is
+    # consistent with w here.
+    U, V = fp.utilities(phi_arr, w)
     result = EquilibriumResult(
-        mu,
+        fp.matching(),
         SystematicUtilities(U, V),
         TaxScheme(w),
         Diagnostics(0.0, 0.0, 0.0, np.inf, 0, 0, False),
@@ -264,16 +203,16 @@ def solve_eae(
         primal_value=kkt.primal_value,
         duality_gap=kkt.duality_gap,
         max_kkt_residual=_max_residual(kkt),
-        inner_iterations=inner.total_iterations,
+        inner_iterations=fp.iterations,
         outer_iterations=getattr(search, "nit", 0) + polish_steps,
-        converged=bool(inner.last_converged and kkt.passed),
+        converged=bool(fp.converged and kkt.passed),
         tolerances={
             "population_tolerance": cfg.inner.population_tolerance,
             "tax_tolerance": cfg.tax_tolerance,
             "constraint_tolerance": cfg.constraint_tolerance,
         },
     )
-    return EquilibriumResult(mu, result.utilities, result.taxes, diag)
+    return replace(result, diagnostics=diag)
 
 
 def _max_residual(kkt: KKTReport) -> float:

@@ -10,11 +10,11 @@ the observed matches.
 
 The outer search is BFGS with the exact gradient of the divergence: the
 surplus is linear in the coefficients, so each coefficient is one direction
-of :func:`quotamatch.ae.fixed_point_tangent`, and one linear solve per
-evaluation differentiates the implied matching in all of them. Each
-evaluation warm-starts the fixed point from the unmatched masses of the
-previous one (Rust, *Econometrica* 1987), so once BFGS takes short steps an
-inner solve needs a sweep or two.
+of :meth:`quotamatch.ae.FixedPoint.tangent`, and one linear solve per
+evaluation differentiates the implied matching in all of them. BFGS keeps one
+:class:`~quotamatch.ae.FixedPoint`, so each evaluation warm-starts from the
+solution of the previous one (Rust, *Econometrica* 1987), and once BFGS takes
+short steps an inner solve needs a sweep or two.
 
 Taxes are held fixed at their observed values throughout. Observed matchings
 must be strictly positive on every type pair; zero cells are rejected rather
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import optimize
 
-from .ae import IpfpConfig, fixed_point_tangent, solve_ae
+from .ae import FixedPoint, IpfpConfig, solve_ae
 from .market import (
     Matching,
     MarketSpec,
@@ -158,16 +158,6 @@ def kl_divergence(observed: Matching, simulated: Matching) -> float:
     return float((p[positive] * np.log(p[positive] / q[positive])).sum())
 
 
-def _simulate(spec, model, c, w, inner_cfg, initial=None):
-    phi = surplus_from_covariates(model, c)
-    result = solve_ae(spec, phi, w, inner_cfg, initial)
-    if not result.diagnostics.converged:
-        raise EstimationError(
-            f"inner solve did not converge at coefficients {model.coefficients.tolist()}"
-        )
-    return result.matching
-
-
 def log_likelihood(
     model: SurplusModel,
     c: CovariateBasis,
@@ -182,8 +172,12 @@ def log_likelihood(
     mass times the KL divergence, so both criteria share their best coefficients.
     """
     cfg = cfg or EstimationConfig()
-    w = as_tax_array(taxes, spec)
-    sim = _pair_vector(_simulate(spec, model, c, w, cfg.inner))
+    result = solve_ae(spec, surplus_from_covariates(model, c), taxes, cfg.inner)
+    if not result.diagnostics.converged:
+        raise EstimationError(
+            f"inner solve did not converge at coefficients {model.coefficients.tolist()}"
+        )
+    sim = _pair_vector(result.matching)
     obs = _pair_vector(observed)
     return float((obs * np.log(sim / sim.sum())).sum())
 
@@ -192,8 +186,8 @@ class _StopSearch(Exception):
     pass
 
 
-def _kl_gradient(p: np.ndarray, mu: Matching, c: np.ndarray) -> np.ndarray:
-    """Exact gradient in the coefficients of the divergence at a simulated matching.
+def _kl_gradient(p: np.ndarray, fp: FixedPoint, c: np.ndarray) -> np.ndarray:
+    """Exact gradient in the coefficients of the divergence at a solved fixed point.
 
     With ``p`` the normalized observed pair vector and q the normalized
     simulated one, dKL = sum((q - p) dlog sim). Coefficient s moves surplus by
@@ -201,19 +195,18 @@ def _kl_gradient(p: np.ndarray, mu: Matching, c: np.ndarray) -> np.ndarray:
     dlog mu_x0 = 2 da_x/a_x and dlog mu_0y = 2 db_y/b_y, where a, b are the
     square roots of the unmatched masses.
     """
-    a = np.sqrt(mu.unmatched_workers)
-    b = np.sqrt(mu.unmatched_slots)
+    mu = fp.matching()
     matched = mu.matched
     half_c = 0.5 * c
     r = np.einsum("xy,xys->xs", matched, half_c)
     s = np.einsum("xy,xys->ys", matched, half_c)
-    da, db = fixed_point_tangent(a, b, matched / np.outer(a, b), r, s)
+    da, db = fp.tangent(r, s)
     n, m = matched.shape
     excess = _pair_vector(mu) / mu.total() - p
     pair = excess[: n * m].reshape(n, m)
     return (
-        (pair.sum(axis=1) + 2.0 * excess[n * m : n * m + n]) @ (da / a[:, None])
-        + (pair.sum(axis=0) + 2.0 * excess[n * m + n :]) @ (db / b[:, None])
+        (pair.sum(axis=1) + 2.0 * excess[n * m : n * m + n]) @ (da / fp.a[:, None])
+        + (pair.sum(axis=0) + 2.0 * excess[n * m + n :]) @ (db / fp.b[:, None])
         + np.einsum("xy,xys->s", pair, half_c)
     )
 
@@ -251,12 +244,12 @@ def estimate(
 
     report = FitReport()
     best = {"kl": np.inf, "lam": x0.copy()}
-    last = {"roots": None}
+    fp = FixedPoint(spec, cfg.inner)
 
     def objective(lam: np.ndarray) -> tuple[float, np.ndarray]:
-        mu = _simulate(spec, SurplusModel(lam), c, w, cfg.inner, last["roots"])
-        last["roots"] = (np.sqrt(mu.unmatched_workers), np.sqrt(mu.unmatched_slots))
-        kl = kl_divergence(observed, mu)
+        if not fp.solve(surplus_from_covariates(SurplusModel(lam), c), w).converged:
+            raise EstimationError(f"inner solve did not converge at coefficients {lam.tolist()}")
+        kl = kl_divergence(observed, fp.matching())
         report.n_evals += 1
         if kl < best["kl"]:
             best["kl"] = kl
@@ -264,7 +257,7 @@ def estimate(
         report.kl_trace.append(best["kl"])
         if best["kl"] <= cfg.kl_tolerance or report.n_evals >= cfg.max_outer_evals:
             raise _StopSearch
-        return kl, _kl_gradient(p, mu, c.c)
+        return kl, _kl_gradient(p, fp, c.c)
 
     search = None
     try:

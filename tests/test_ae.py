@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 from oracles import descent_matching_at_taxes, quadratic_single_pair
 from conftest import random_market
 from quotamatch.ae import (
+    FixedPoint,
     IpfpConfig,
     KernelRangeError,
     build_kernel,
-    consistency_residual,
-    fixed_point_residual,
     solve_ae,
     solve_ae_grid,
 )
@@ -78,12 +77,6 @@ class TestSolveAe:
         result = solve_ae(spec, phi, cfg=IpfpConfig(population_tolerance=1e-12))
         assert result.matching.population_residual(spec) <= 1e-12
 
-    def test_fixed_point_and_consistency_residuals(self, example_market):
-        spec, phi = example_market
-        result = solve_ae(spec, phi, np.array([0.3, -0.2]))
-        assert fixed_point_residual(result, phi, spec) <= 1e-10
-        assert consistency_residual(result, phi, spec) <= 1e-12
-
     def test_binding_holds_with_taxes(self, example_market):
         spec, phi = example_market
         w = np.array([0.7, -0.3])
@@ -117,11 +110,9 @@ class TestSolveAe:
     def test_warm_start_agrees_with_cold(self, example_market):
         spec, phi = example_market
         cold = solve_ae(spec, phi, np.array([0.2, 0.0]))
-        near = solve_ae(spec, phi, np.array([0.21, 0.0]))
-        a0 = np.sqrt(near.matching.unmatched_workers)
-        b0 = np.sqrt(near.matching.unmatched_slots)
-        warm = solve_ae(spec, phi, np.array([0.2, 0.0]), initial=(a0, b0))
-        assert np.abs(warm.matching.matched - cold.matching.matched).max() < 1e-9
+        fp = FixedPoint(spec).solve(phi, np.array([0.21, 0.0]))
+        warm = fp.solve(phi, np.array([0.2, 0.0])).matching()
+        assert np.abs(warm.matched - cold.matching.matched).max() < 1e-9
 
     def test_converges_near_exponent_limit_without_overflow(self, single_pair):
         # A kernel exponent of 360: squaring K b would overflow a double.

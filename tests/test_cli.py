@@ -262,6 +262,30 @@ def test_counterfactual_rows_equal_sweep_records(tmp_path):
             assert float(row[f"tax_{z}"]) == rec.taxes[z]
 
 
+def test_counterfactual_skips_ordering_with_infeasible_rows(tmp_path, capsys):
+    # At floor 0.45 only the optimal tax meets the floors; the other policies
+    # fall back to infeasible points worth more than it, so comparing their
+    # welfare with it would report a violation that is not one.
+    from quotamatch.experiments import gen_jrmp_market
+
+    spec, phi = gen_jrmp_market(3)
+    market = tmp_path / "market.json"
+    surplus = tmp_path / "phi.json"
+    save_market(spec, market)
+    _write_json({"phi": [list(row) for row in phi.phi]}, surplus)
+    out = tmp_path / "policies.csv"
+    code = main([
+        "counterfactual", "--market", str(market), "--phi", str(surplus),
+        "--floors", "0.45", "--urban-region", "z1", "--out", str(out),
+    ])
+    assert code == 0
+    _, rows = _read_rows(out)
+    infeasible = [r["policy"] for r in rows if r["feasible"] == "false"]
+    assert infeasible == ["eae_upper_bound", "cap_reduced", "bbae"]
+    line = capsys.readouterr().out.strip()
+    assert line == "floor 0.45: ordering not checked: infeasible eae_upper_bound, cap_reduced, bbae"
+
+
 def test_counterfactual_infeasible_floor_exits_three_with_other_rows(tmp_path, capsys):
     # Matching into the floor region loses 200 of surplus, so holding half of
     # the workers there needs a subsidy of about 200, far beyond the

@@ -5,11 +5,10 @@ import pytest
 
 from conftest import random_constrained_market, random_market
 from oracles import descent_taxes_under_quotas
-from quotamatch.ae import IpfpConfig, solve_ae, solve_ae_grid
+from quotamatch.ae import FixedPoint, IpfpConfig, solve_ae, solve_ae_grid
 from quotamatch.eae import (
     EaeConfig,
     InfeasibleQuotaError,
-    _InnerSolver,
     dual_value,
     solve_eae,
     verify_kkt,
@@ -123,9 +122,7 @@ class TestTaxSearch:
             rng = np.random.default_rng(seed)
             spec, phi = random_market(rng)
             w = rng.uniform(-1.0, 1.0, size=spec.num_regions)
-            inner = _InnerSolver(spec, phi.phi, EaeConfig(inner=tight))
-            inner.solve(w)
-            jacobian = inner.mass_jacobian()
+            jacobian = FixedPoint(spec, tight).solve(phi, w).mass_jacobian()
             numeric = np.empty_like(jacobian)
             for zi in range(spec.num_regions):
                 step = h * np.eye(spec.num_regions)[zi]
