@@ -410,6 +410,8 @@ def solve_ae_grid(
     grid = np.asarray(tax_grid, dtype=np.float64)
     if grid.ndim != 2 or grid.shape[1] != spec.num_regions:
         raise ValueError(f"tax grid must have shape (G, {spec.num_regions})")
+    if not np.isfinite(grid).all():
+        raise ValueError("tax grid entries must be finite")
     w_slot = grid[:, spec.slot_region_index]
     top = phi_arr.max(axis=0)
     exponent = 0.5 * (top[None, :] - w_slot)

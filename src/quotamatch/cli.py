@@ -50,17 +50,27 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NOT_CONVERGED = 2
 EXIT_INFEASIBLE = 3
+#: most points a lo:hi:step range flag may expand to
+MAX_RANGE_POINTS = 1_000_000
 
 
 def _parse_range(text: str) -> list[float]:
-    """Parse '0.1:0.4:0.05' into an inclusive grid, or a comma list."""
-    if ":" in text:
-        lo, hi, step = (float(v) for v in text.split(":"))
-        if not (step > 0.0 and hi >= lo):
-            raise ValueError(f"range {text!r} needs a positive step and hi >= lo")
-        count = int(round((hi - lo) / step)) + 1
-        return [round(lo + i * step, 12) for i in range(count)]
-    return [float(v) for v in text.split(",")]
+    """Parse '0.1:0.4:0.05' into an inclusive grid, or a comma list, of finite
+    numbers; a range over ``MAX_RANGE_POINTS`` points is rejected before it
+    is built. Each failure is a ValueError (exit 1)."""
+    values = [float(v) for v in text.split(":" if ":" in text else ",")]
+    if not np.isfinite(values).all():
+        raise ValueError(f"range {text!r} has a non-finite number")
+    if ":" not in text:
+        return values
+    lo, hi, step = values
+    if not (step > 0.0 and hi >= lo):
+        raise ValueError(f"range {text!r} needs a positive step and hi >= lo")
+    span = (hi - lo) / step
+    # round(span) + 1 points; an infinite span (hi - lo overflowed) fails too
+    if not span < MAX_RANGE_POINTS - 0.5:
+        raise ValueError(f"range {text!r} has more than {MAX_RANGE_POINTS} points")
+    return [round(lo + i * step, 12) for i in range(int(round(span)) + 1)]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -232,11 +242,11 @@ def _cmd_counterfactual(args) -> int:
         elif infeasible:
             print(f"floor {floor:g}: ordering not checked: infeasible {', '.join(infeasible)}")
         else:
-            print(f"floor {floor:g}: {welfare_ordering_check(results, tol=1e-7)}")
+            print(f"floor {floor:g}: {welfare_ordering_check(results)}")
         records.extend(
-            experiments._record_policy(floor, None, r, spec, urban, floor_regions) for r in results
+            experiments.policy_record(floor, None, r, spec, urban, floor_regions) for r in results
         )
-    experiments._write_records(args.out, records, floor_regions, spec.regions, seed_column=False)
+    experiments.write_records_csv(records, args.out)
     return status
 
 
@@ -254,7 +264,7 @@ def _cmd_experiment(args) -> int:
     locus = Path(args.locus_out) if args.locus_out else out.with_name("locus.csv")
     experiments.write_locus_csv(panel, locus)
     if args.records_out:
-        experiments.write_records_csv(panel, args.records_out)
+        experiments.write_records_csv(panel.records, args.records_out)
     print(f"wrote {out} and {locus} ({len(panel.records)} records)")
     return EXIT_OK
 

@@ -251,7 +251,7 @@ def verify_kkt(result: EquilibriumResult, spec: MarketSpec, phi=None, tol: float
     U = result.utilities.U
     V = result.utilities.V
     w = result.taxes.w
-    w_slot = result.taxes.per_slot(spec)
+    w_slot = w[spec.slot_region_index]
     if phi is None:
         phi_arr = U + V + w_slot[None, :]
     else:

@@ -100,7 +100,6 @@ class SurplusModel:
 class EstimationConfig:
     kl_tolerance: float = 1e-10
     max_outer_evals: int = 5000
-    initial_coefficients: np.ndarray | None = None
     inner: IpfpConfig = IpfpConfig()
 
     def __post_init__(self):
@@ -220,13 +219,14 @@ def estimate(
 ) -> tuple[SurplusModel, FitReport]:
     """Fit surplus coefficients to an observed matching.
 
-    Runs BFGS with the exact gradient of the divergence and returns the best
-    coefficients found together with the search trace. The fit is converged
-    when the divergence falls to ``kl_tolerance`` ("kl tolerance reached") or
-    BFGS reaches a stationary point, its gradient's sup-norm at most 1e-8
-    ("stationary point"). Otherwise it is not, and
-    the message says why: "evaluation budget exhausted" after
-    ``max_outer_evals`` evaluations, or "stalled: " and BFGS's own message.
+    Runs BFGS from zero coefficients with the exact gradient of the
+    divergence and returns the best coefficients found together with the
+    search trace. The fit is converged when the divergence falls to
+    ``kl_tolerance`` ("kl tolerance reached") or BFGS reaches a stationary
+    point, its gradient's sup-norm at most 1e-8 ("stationary point").
+    Otherwise it is not, and the message says why: "evaluation budget
+    exhausted" after ``max_outer_evals`` evaluations, or "stalled: " and
+    BFGS's own message.
     """
     cfg = cfg or EstimationConfig()
     obs = _pair_vector(observed)
@@ -234,13 +234,7 @@ def estimate(
         raise ValueError("observed matching must be strictly positive on every type pair")
     p = obs / obs.sum()
     w = as_tax_array(taxes, spec)
-    x0 = (
-        np.zeros(c.num_features)
-        if cfg.initial_coefficients is None
-        else np.asarray(cfg.initial_coefficients, dtype=np.float64)
-    )
-    if x0.shape != (c.num_features,):
-        raise ValueError("initial coefficients must match the covariate dimension")
+    x0 = np.zeros(c.num_features)
 
     report = FitReport()
     best = {"kl": np.inf, "lam": x0.copy()}

@@ -41,6 +41,7 @@ __all__ = [
     "write_records_csv",
     "write_bench_csv",
     "sweep_policies",
+    "policy_record",
 ]
 
 #: candidate ceilings for the upper-bound policy
@@ -50,6 +51,8 @@ CAP_GRID = tuple(np.round(np.linspace(0.050, 0.25, 41), 10))
 #: tax grid axes for the budget-balanced policy
 BB_TAX_AXIS = tuple(np.round(np.linspace(0.0, 10.0, 21), 10))
 BB_SUBSIDY_AXIS = tuple(np.round(np.linspace(-0.2, 0.0, 21), 10))
+#: slot types per region in the scaling benchmark's markets
+HOSPITALS_PER_REGION = 10
 
 _PANEL_METRICS = ("social_welfare", "agent_welfare", "pm_surplus", "urban_mass", "rural_mass")
 _POLICIES = ("unconstrained", "eae", "bbae", "eae_upper_bound", "cap_reduced")
@@ -81,19 +84,19 @@ class JrmpConfig:
 
 @dataclass(frozen=True)
 class ScalingConfig:
-    """Grid of market sizes for the solver timing benchmark."""
+    """Grid of market sizes for the solver timing benchmark; each market has
+    ``HOSPITALS_PER_REGION`` slot types per region."""
 
     worker_type_counts: tuple[int, ...] = (10, 20)
     region_counts: tuple[int, ...] = tuple(range(5, 101, 5))
-    hospitals_per_region: int = 10
     trials: int = 10
     master_seed: int = 0
 
     def __post_init__(self):
         if min(self.worker_type_counts) < 1 or min(self.region_counts) < 1:
             raise ValueError("size counts must be positive")
-        if self.trials < 1 or self.hospitals_per_region < 1:
-            raise ValueError("trials and hospitals_per_region must be positive")
+        if self.trials < 1:
+            raise ValueError("trials must be positive")
 
 
 def gen_jrmp_market(seed: int) -> tuple[MarketSpec, SurplusMatrix]:
@@ -126,18 +129,19 @@ def gen_jrmp_market(seed: int) -> tuple[MarketSpec, SurplusMatrix]:
 
 
 def gen_scaling_market(
-    num_worker_types: int, num_regions: int, seed: int, hospitals_per_region: int = 10
+    num_worker_types: int, num_regions: int, seed: int
 ) -> tuple[MarketSpec, SurplusMatrix]:
     """Benchmark market: floors only, sizes spread so totals stay fixed.
 
-    Total worker mass is 1.0, total slot mass 1.5, and total floor mass 0.3
-    regardless of the dimensions.
+    Each region holds ``HOSPITALS_PER_REGION`` slot types. Total worker mass
+    is 1.0, total slot mass 1.5, and total floor mass 0.3 regardless of the
+    dimensions.
     """
-    num_slots = num_regions * hospitals_per_region
+    num_slots = num_regions * HOSPITALS_PER_REGION
     worker_types = tuple(f"x{i + 1}" for i in range(num_worker_types))
     slot_types = tuple(f"y{j + 1}" for j in range(num_slots))
     regions = tuple(f"z{k + 1}" for k in range(num_regions))
-    region_of = {y: regions[j // hospitals_per_region] for j, y in enumerate(slot_types)}
+    region_of = {y: regions[j // HOSPITALS_PER_REGION] for j, y in enumerate(slot_types)}
     rng = SplitMix64(seed)
     phi = SurplusMatrix(2.0 + rng.normals((num_worker_types, num_slots)))
     spec = MarketSpec(
@@ -266,8 +270,7 @@ def sweep_policies(
         results = []
         try:
             eae_result = solve_eae(spec.with_quotas(lower=floors), phi)
-            feasible = eae_result.diagnostics.converged
-            results.append(policy_result("eae", eae_result, phi, spec, feasible))
+            results.append(policy_result("eae", eae_result, phi, spec))
         except InfeasibleQuotaError:
             pass
         results.append(eae_upper_bound(spec, phi, floors, upper_bound_grid, urban_region))
@@ -277,7 +280,7 @@ def sweep_policies(
     return sweep
 
 
-def _record_policy(
+def policy_record(
     floor: float,
     seed: int | None,
     result: PolicyResult,
@@ -285,6 +288,8 @@ def _record_policy(
     urban_region: str,
     floor_regions: Sequence[str],
 ) -> SweepRecord:
+    """One policy result as a sweep record; ``bbae``'s tax-vector search
+    parameter is recorded as its urban-region entry."""
     masses = region_masses(result.evaluated_matching, spec)
     w = result.equilibrium.taxes.w
     search = result.search_parameter
@@ -312,7 +317,7 @@ def sweep_one_seed(seed: int, cfg: JrmpConfig) -> list[SweepRecord]:
     unconstrained = policy_result("unconstrained", solve_ae(spec, phi), phi, spec)
     sweep = sweep_policies(spec, phi, cfg.floor_grid, cfg.urban_region, cfg.floor_regions)
     return [
-        _record_policy(floor, seed, r, spec, cfg.urban_region, cfg.floor_regions)
+        policy_record(floor, seed, r, spec, cfg.urban_region, cfg.floor_regions)
         for floor, results in zip(cfg.floor_grid, sweep)
         for r in [unconstrained, *results]
     ]
@@ -358,7 +363,7 @@ def bench_eae(cfg: ScalingConfig) -> list[BenchRow]:
             converged = True
             for trial in range(cfg.trials):
                 seed = SplitMix64(cfg.master_seed ^ (nx * 1_000_003 + nz * 101 + trial)).next_uint64()
-                spec, phi = gen_scaling_market(nx, nz, seed, cfg.hospitals_per_region)
+                spec, phi = gen_scaling_market(nx, nz, seed)
                 start = time.perf_counter()
                 result = solve_eae(spec, phi)
                 times.append(time.perf_counter() - start)
@@ -397,14 +402,13 @@ def write_locus_csv(panel: PanelData, path) -> None:
     _write_csv(path, ("floor", "policy", "tax", "avg_subsidy"), panel.locus_rows())
 
 
-def write_records_csv(panel: PanelData, path) -> None:
-    """Per-replication policy rows (the counterfactual sweep export)."""
-    regions = list(panel.records[0].taxes) if panel.records else []
-    _write_records(path, panel.records, panel.cfg.floor_regions, regions)
-
-
-def _write_records(path, records, rural, regions, seed_column: bool = True) -> None:
-    seed = ["seed"] if seed_column else []
+def write_records_csv(records: Sequence[SweepRecord], path) -> None:
+    """One row per policy record. The rural-mass and tax columns follow the
+    first record's keys; the seed column is written iff the records carry
+    seeds (a replication sweep, not one market)."""
+    rural = list(records[0].rural_mass) if records else []
+    regions = list(records[0].taxes) if records else []
+    seed = ["seed"] if records and records[0].seed is not None else []
     header = (
         ["policy", "floor"] + seed + ["feasible", "search_parameter"]
         + ["social_welfare", "agent_welfare", "pm_surplus", "urban_mass"]
@@ -412,7 +416,7 @@ def _write_records(path, records, rural, regions, seed_column: bool = True) -> N
         + [f"tax_{z}" for z in regions]
     )
     rows = [
-        [r.policy, r.floor] + ([r.seed] if seed_column else []) + [r.feasible, r.search_parameter]
+        [r.policy, r.floor] + ([r.seed] if seed else []) + [r.feasible, r.search_parameter]
         + [r.social_welfare, r.agent_welfare, r.pm_surplus, r.urban_mass]
         + [r.rural_mass[z] for z in rural]
         + [r.taxes[z] for z in regions]

@@ -21,22 +21,17 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import xlogy
 
-from .market import MarketSpec, Matching
+from .market import MarketSpec, as_surplus_array
 
 __all__ = [
     "g_value",
     "g_gradient",
     "h_value",
     "h_gradient",
-    "entropy",
     "matching_value",
 ]
 
 EULER_GAMMA = float(np.euler_gamma)
-
-#: smallest admissible mass in entropy computations; below this we reject
-#: rather than clamp (the logit never produces such masses at sane scales)
-MASS_FLOOR = 1e-300
 
 
 def _logsumexp_rows(u: np.ndarray) -> np.ndarray:
@@ -59,21 +54,10 @@ def _softmax_rows(u: np.ndarray) -> np.ndarray:
     return np.column_stack([outside, inside]) / total[:, None]
 
 
-def _check_block(block: np.ndarray, spec: MarketSpec, name: str) -> np.ndarray:
-    arr = np.asarray(block, dtype=np.float64)
-    if arr.shape != (spec.num_workers, spec.num_slots):
-        raise ValueError(
-            f"{name} must have shape ({spec.num_workers}, {spec.num_slots}), got {arr.shape}"
-        )
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} must be finite")
-    return arr
-
-
 def g_value(U, spec: MarketSpec) -> float:
     """Worker-side aggregate value: sum over types of mass times the expected
     maximum over slot types and the outside option."""
-    arr = _check_block(U, spec, "U")
+    arr = as_surplus_array(U, spec, "U")
     return float(spec.n @ _logsumexp_rows(arr))
 
 
@@ -82,13 +66,13 @@ def g_gradient(U, spec: MarketSpec) -> np.ndarray:
 
     Row x sums to the worker mass n_x and every entry is strictly positive.
     """
-    arr = _check_block(U, spec, "U")
+    arr = as_surplus_array(U, spec, "U")
     return spec.n[:, None] * _softmax_rows(arr)
 
 
 def h_value(V, spec: MarketSpec) -> float:
     """Slot-side aggregate value, the mirror image of :func:`g_value`."""
-    arr = _check_block(V, spec, "V")
+    arr = as_surplus_array(V, spec, "V")
     return float(spec.m @ _logsumexp_rows(arr.T))
 
 
@@ -97,7 +81,7 @@ def h_gradient(V, spec: MarketSpec) -> np.ndarray:
 
     Column y sums to the slot mass m_y.
     """
-    arr = _check_block(V, spec, "V")
+    arr = as_surplus_array(V, spec, "V")
     return (spec.m[:, None] * _softmax_rows(arr.T)).T
 
 
@@ -134,16 +118,3 @@ def _xlog_share(rows: np.ndarray, mass: np.ndarray) -> np.ndarray:
     share = rows / mass[:, None]
     share[share == 0.0] = 1.0
     return xlogy(rows, share)
-
-
-def entropy(mu: Matching, spec: MarketSpec) -> float:
-    """Unobserved-heterogeneity surplus of a strictly positive matching.
-
-    This is the negative of the two conjugates evaluated at the per-type
-    choice fractions, and it equals the expected error terms collected by the
-    realized choices on each side: :func:`matching_value` at zero surplus.
-    """
-    masses = (mu.matched, mu.unmatched_workers, mu.unmatched_slots)
-    if min(np.min(x, initial=np.inf) for x in masses) < MASS_FLOOR:
-        raise ValueError("entropy requires every mass to be strictly positive")
-    return float(matching_value(mu, 0.0, spec))

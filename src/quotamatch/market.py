@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -34,7 +34,6 @@ __all__ = [
     "EquilibriumResult",
     "ValidationReport",
     "validate_market",
-    "region_mass",
     "region_masses",
     "load_market",
     "save_market",
@@ -160,10 +159,6 @@ class MarketSpec:
         except ValueError:
             raise UnknownRegionError(region) from None
 
-    def per_slot(self, per_region: np.ndarray) -> np.ndarray:
-        """Expand a per-region vector to a per-slot-type vector."""
-        return np.asarray(per_region, dtype=np.float64)[self.slot_region_index]
-
     def with_quotas(
         self,
         upper: Mapping[str, float] | None = None,
@@ -213,16 +208,17 @@ class SurplusMatrix:
             raise SchemaViolationError("surplus matrix entries must be finite")
 
 
-def as_surplus_array(phi, spec: MarketSpec) -> np.ndarray:
-    """Normalize a SurplusMatrix or bare array to a validated ndarray."""
+def as_surplus_array(phi, spec: MarketSpec, name: str = "surplus matrix") -> np.ndarray:
+    """Normalize a SurplusMatrix or any N x M array (``name`` in errors) to a
+    validated ndarray."""
     arr = phi.phi if isinstance(phi, SurplusMatrix) else np.asarray(phi, dtype=np.float64)
     if arr.shape != (spec.num_workers, spec.num_slots):
         raise SchemaViolationError(
-            f"surplus matrix shape {arr.shape} does not match market "
+            f"{name} shape {arr.shape} does not match market "
             f"({spec.num_workers}, {spec.num_slots})"
         )
     if not np.isfinite(arr).all():
-        raise SchemaViolationError("surplus matrix entries must be finite")
+        raise SchemaViolationError(f"{name} entries must be finite")
     return arr
 
 
@@ -236,19 +232,6 @@ class TaxScheme:
         object.__setattr__(self, "w", _readonly(self.w))
         if self.w.ndim != 1 or not np.isfinite(self.w).all():
             raise SchemaViolationError("taxes must be a finite vector")
-
-    @property
-    def ceiling_part(self) -> np.ndarray:
-        """Nonnegative split component attached to ceilings (max{0, w})."""
-        return np.maximum(self.w, 0.0)
-
-    @property
-    def floor_part(self) -> np.ndarray:
-        """Nonnegative split component attached to floors (-min{0, w})."""
-        return np.maximum(-self.w, 0.0)
-
-    def per_slot(self, spec: MarketSpec) -> np.ndarray:
-        return self.w[spec.slot_region_index]
 
 
 def as_tax_array(taxes, spec: MarketSpec) -> np.ndarray:
@@ -405,13 +388,6 @@ def region_masses(mu: Matching, spec: MarketSpec) -> np.ndarray:
     return np.bincount(spec.slot_region_index, weights=per_slot, minlength=spec.num_regions)
 
 
-def region_mass(mu: Matching, region: str, spec: MarketSpec) -> float:
-    """Matched mass absorbed by one region."""
-    zi = spec.region_index(region)
-    cols = spec.region_slot_indices[zi]
-    return float(mu.matched[:, cols].sum())
-
-
 # ---------------------------------------------------------------------------
 # File formats
 #
@@ -463,6 +439,13 @@ def _document(path):
         raise SchemaViolationError(f"{path}: missing required key {e}") from None
     except (TypeError, AttributeError) as e:
         raise SchemaViolationError(f"{path}: a field has the wrong type: {e}") from None
+
+
+def _json_typed(raw: object, kind: type, what: str):
+    # bool subclasses int, so a count written as true or false is refused too.
+    if not isinstance(raw, kind) or (kind is int and isinstance(raw, bool)):
+        raise ValueError(f"{what} must be a JSON {'boolean' if kind is bool else 'integer'}")
+    return raw
 
 
 def _mass_vector(raw: object, ids: Sequence[str], what: str) -> np.ndarray:
@@ -547,7 +530,8 @@ def save_result(result: EquilibriumResult, path, spec: MarketSpec, welfare=None)
 
     The document holds the matching (matched block plus unmatched vectors),
     both systematic utility matrices, the per-region taxes, and diagnostics.
-    A welfare breakdown, when given, is stored under the `welfare` key.
+    A welfare breakdown (a dataclass), when given, is stored under the
+    `welfare` key.
     """
     mu = result.matching
     diag = result.diagnostics
@@ -573,7 +557,7 @@ def save_result(result: EquilibriumResult, path, spec: MarketSpec, welfare=None)
     if diag.tolerances:
         doc["diagnostics"]["tolerances"] = diag.tolerances
     if welfare is not None:
-        doc["welfare"] = welfare.as_dict()
+        doc["welfare"] = asdict(welfare)
     _write_json(doc, path)
 
 
@@ -611,9 +595,9 @@ def load_result(path, spec: MarketSpec) -> EquilibriumResult:
             primal_value=float(diag_raw["primal_value"]),
             duality_gap=float(diag_raw["duality_gap"]),
             max_kkt_residual=float(diag_raw["max_kkt_residual"]),
-            inner_iterations=int(diag_raw["inner_iterations"]),
-            outer_iterations=int(diag_raw["outer_iterations"]),
-            converged=bool(diag_raw["converged"]),
+            inner_iterations=_json_typed(diag_raw["inner_iterations"], int, "inner_iterations"),
+            outer_iterations=_json_typed(diag_raw["outer_iterations"], int, "outer_iterations"),
+            converged=_json_typed(diag_raw["converged"], bool, "converged"),
             tolerances=diag_raw.get("tolerances"),
         )
         return EquilibriumResult(matching, utilities, taxes, diag)

@@ -35,7 +35,7 @@ import numpy as np
 from .ae import solve_ae, solve_ae_grid
 from .eae import solve_eae
 from .market import EquilibriumResult, MarketSpec, Matching, region_masses
-from .welfare import WelfareBreakdown, matching_breakdown
+from .welfare import WelfareBreakdown, breakdown
 
 __all__ = [
     "PolicyResult",
@@ -52,6 +52,8 @@ __all__ = [
 POLICY_ORDER = ("eae", "bbae", "eae_upper_bound", "cap_reduced")
 #: slack below a target floor within which an outcome still meets it
 FLOOR_TOLERANCE = 1e-8
+#: welfare shortfall along the policy ordering that still counts as ordered
+ORDERING_TOLERANCE = 1e-7
 #: largest budget-balance grid, in grid points times worker types times slot
 #: types: the size of each stacked (G, N, M) array of the grid solve
 MAX_GRID_ENTRIES = 1_000_000
@@ -79,13 +81,13 @@ def policy_result(
     """Price an equilibrium as a policy outcome.
 
     ``evaluated`` is the matching whose welfare is reported, the
-    equilibrium's own by default; it is priced at the equilibrium's taxes
-    and utilities.
+    equilibrium's own by default; :func:`~quotamatch.welfare.breakdown`
+    prices it at the equilibrium's taxes and utilities. A row is feasible
+    only if the caller's ``feasible`` holds and the equilibrium converged.
     """
     evaluated = result.matching if evaluated is None else evaluated
-    welfare = matching_breakdown(
-        evaluated, phi, result.taxes, result.utilities.U, result.utilities.V, spec
-    )
+    welfare = breakdown(result, phi, spec, evaluated)
+    feasible = bool(feasible and result.diagnostics.converged)
     return PolicyResult(policy, result, search_parameter, welfare, feasible, evaluated)
 
 
@@ -215,8 +217,9 @@ def bbae(
     then maximizes social welfare over the kept set (first maximizer wins, so
     the reduction is independent of evaluation order). With an empty kept
     set it falls back to all budget-balanced rows and the result is flagged
-    infeasible. The winner is re-solved alone for its utilities and
-    diagnostics. With no floor levels nothing is solved.
+    infeasible, as it is when the grid solve did not converge. The winner is
+    re-solved alone for its utilities and diagnostics. With no floor levels
+    nothing is solved.
     """
     if not floor_levels:
         return []
@@ -235,7 +238,7 @@ def bbae(
         winner = int(candidates[np.argmax(solved.social_welfare[candidates])])
         taxes = np.array(solved.taxes[winner])
         result = solve_ae(spec, phi, taxes)
-        results.append(policy_result("bbae", result, phi, spec, feasible, taxes))
+        results.append(policy_result("bbae", result, phi, spec, feasible and solved.converged, taxes))
     return results
 
 
@@ -255,12 +258,12 @@ class OrderingReport:
         return f"{chain} -> {'ok' if self.ok else 'VIOLATED'}"
 
 
-def welfare_ordering_check(results: Sequence[PolicyResult], tol: float = 1e-7) -> OrderingReport:
+def welfare_ordering_check(results: Sequence[PolicyResult]) -> OrderingReport:
     """Check the canonical welfare ordering across policy results.
 
     Results are matched to the canonical order by their policy name; each gap
     is the preceding policy's social welfare minus the following one's, and
-    the report is ok when every gap is above ``-tol``.
+    the report is ok when every gap is at least ``-ORDERING_TOLERANCE``.
     """
     by_name = {r.policy: r for r in results}
     missing = [p for p in POLICY_ORDER if p not in by_name]
@@ -273,5 +276,5 @@ def welfare_ordering_check(results: Sequence[PolicyResult], tol: float = 1e-7) -
         policies=POLICY_ORDER,
         welfare=tuple(values),
         gaps=tuple(gaps),
-        ok=all(g >= -tol for g in gaps),
+        ok=all(g >= -ORDERING_TOLERANCE for g in gaps),
     )

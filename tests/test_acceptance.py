@@ -16,9 +16,8 @@ from quotamatch.ae import solve_ae, solve_ae_grid
 from quotamatch.eae import InfeasibleQuotaError, solve_eae, verify_kkt
 from quotamatch.estimation import CovariateBasis, SurplusModel, estimate, surplus_from_covariates
 from quotamatch.experiments import JrmpConfig, gen_scaling_market, run_lower_bound_sweep
-from quotamatch.logit import g_gradient, g_value, h_gradient, h_value
+from quotamatch.logit import g_gradient, g_value, h_gradient, h_value, matching_value
 from quotamatch.market import MarketSpec, region_masses
-from quotamatch.welfare import social_welfare
 
 
 @contextmanager
@@ -137,14 +136,14 @@ def test_criterion_06_welfare_optimality_grid():
                 spec = spec.with_quotas(lower={"z": min(1.2 * free_mass, 0.9 * m.sum())})
             best = solve_eae(spec, phi)
             assert best.diagnostics.converged
-            best_welfare = social_welfare(best.matching, phi, spec)
+            best_welfare = matching_value(best.matching, phi, spec)
             grid = np.arange(-3.0, 3.0, 1e-3)[:, None]
             batch = solve_ae_grid(spec, phi, grid)
             feasible = (batch.region_mass[:, 0] >= spec.lower[0] - 1e-9) & (
                 batch.region_mass[:, 0] <= spec.upper[0] + 1e-9
             )
             for g in np.flatnonzero(feasible):
-                assert best_welfare >= social_welfare(batch.matching(g), phi, spec) - 1e-7
+                assert best_welfare >= matching_value(batch.matching(g), phi, spec) - 1e-7
 
 
 def test_criterion_07_policy_ordering_sweep(full_sweep):

@@ -146,6 +146,11 @@ class TestGridSolve:
         with pytest.raises(ValueError):
             solve_ae_grid(spec, phi, np.zeros((4, 3)))
 
+    def test_rejects_non_finite_grid(self, example_market):
+        spec, phi = example_market
+        with pytest.raises(ValueError, match="finite"):
+            solve_ae_grid(spec, phi, np.array([[0.0, 0.0], [np.nan, 0.0]]))
+
     @pytest.mark.parametrize("excess, rejected", [(2e-6, True), (-2e-6, False)])
     def test_range_limit_matches_build_kernel(self, single_pair, excess, rejected):
         # The grid's largest exponent 0.5 * (phi - w) sits just above or below

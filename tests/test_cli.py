@@ -388,14 +388,42 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         ["experiment", "--seeds", "1", "--floors", "0.1:0.4:0"],
         ["bench", "--worker-types", "4", "--regions", "5:5:0", "--trials", "1"],
         ["experiment", "--seeds", "1", "--floors", "0.4:0.1:0.1"],
+        ["experiment", "--seeds", "1", "--floors", "0:inf:0.1"],
+        ["experiment", "--seeds", "1", "--floors", "0.1,nan"],
+        ["experiment", "--seeds", "1", "--floors", "0:1:1e-9"],
+        ["experiment", "--seeds", "1", "--floors=-1e308:1e308:1"],
+        ["bench", "--worker-types", "4", "--regions", "1:inf:1", "--trials", "1"],
     ],
-    ids=["experiment-zero-step", "bench-zero-step", "experiment-descending"],
+    ids=[
+        "experiment-zero-step", "bench-zero-step", "experiment-descending",
+        "experiment-infinite-hi", "experiment-nan-item", "experiment-too-many-points",
+        "experiment-span-overflows", "bench-infinite-hi",
+    ],
 )
 def test_bad_range_exits_one(tmp_path, capsys, argv):
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: range") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--floors", "0:inf:1"], "error: range"),
+        (["--floors", "0.2", "--tax-grid", "0,nan"], "--tax-grid"),
+        (["--floors", "0.2", "--grid", "0.1:0.5:1e-9"], "--grid"),
+    ],
+    ids=["floors-infinite-hi", "tax-grid-nan", "grid-too-many-points"],
+)
+def test_counterfactual_bad_range_exits_one(example_files, tmp_path, capsys, flags, message):
+    _, market, surplus = example_files
+    out = tmp_path / "out.csv"
+    argv = ["counterfactual", "--market", str(market), "--phi", str(surplus), "--out", str(out)]
+    assert main(argv + flags) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
     assert not out.exists()
 
 

@@ -13,6 +13,7 @@ from quotamatch.eae import (
     solve_eae,
     verify_kkt,
 )
+from quotamatch.logit import matching_value
 from quotamatch.market import (
     EquilibriumResult,
     Diagnostics,
@@ -21,7 +22,6 @@ from quotamatch.market import (
     TaxScheme,
     region_masses,
 )
-from quotamatch.welfare import social_welfare
 
 TWO_LOG_THREE = 2.0 * np.log(3.0)
 
@@ -179,7 +179,7 @@ class TestDualValue:
         dual = dual_value(result.utilities.U, result.utilities.V, result.taxes, spec)
         want = 2 * np.log(4.0 / 3.0) + 0.25 * TWO_LOG_THREE
         assert dual == pytest.approx(want, abs=1e-7)
-        primal = social_welfare(result.matching, np.zeros((1, 1)), spec)
+        primal = matching_value(result.matching, np.zeros((1, 1)), spec)
         assert dual == pytest.approx(primal, abs=1e-7)
 
     def test_reference_market_duality(self, example_market):
@@ -224,12 +224,12 @@ class TestRandomInstances:
         spec = single_pair.with_quotas(upper={"z": 0.4}, lower={"z": 0.2})
         phi = np.array([[1.0]])
         best = solve_eae(spec, phi)
-        best_welfare = social_welfare(best.matching, phi, spec)
+        best_welfare = matching_value(best.matching, phi, spec)
         grid = np.arange(-2.0, 3.0, 1e-3)[:, None]
         batch = solve_ae_grid(spec, phi, grid)
         ok = (batch.region_mass[:, 0] >= 0.2 - 1e-9) & (batch.region_mass[:, 0] <= 0.4 + 1e-9)
         for g in np.flatnonzero(ok):
-            w = social_welfare(batch.matching(g), phi, spec)
+            w = matching_value(batch.matching(g), phi, spec)
             assert best_welfare >= w - 1e-7
 
 

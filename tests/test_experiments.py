@@ -173,7 +173,7 @@ class TestSweep:
         for name, writer in (
             ("panels.csv", write_panels_csv),
             ("locus.csv", write_locus_csv),
-            ("records.csv", write_records_csv),
+            ("records.csv", lambda panel, path: write_records_csv(panel.records, path)),
         ):
             writer(panel, tmp_path / name)
             first[name] = (tmp_path / name).read_bytes()

@@ -9,8 +9,6 @@ from scipy.special import xlogy
 from oracles import central_difference, mc_worker_value
 from quotamatch.logit import (
     EULER_GAMMA,
-    MASS_FLOOR,
-    entropy,
     g_gradient,
     g_value,
     h_gradient,
@@ -115,16 +113,17 @@ class TestSlotSide:
 
 
 class TestEntropy:
+    # The heterogeneity term is the social value at zero surplus.
     def test_symmetric_half_masses(self):
         spec = make_spec([1.0], [1.0])
         mu = Matching(np.array([[0.5]]), np.array([0.5]), np.array([0.5]))
-        assert entropy(mu, spec) == pytest.approx(2 * np.log(2), abs=1e-12)
+        assert matching_value(mu, 0.0, spec) == pytest.approx(2 * np.log(2), abs=1e-12)
 
     def test_two_thirds_closed_form(self):
         spec = make_spec([1.0], [1.0])
         mu = Matching(np.array([[2 / 3]]), np.array([1 / 3]), np.array([1 / 3]))
         want = 2 * (np.log(3) - (2 / 3) * np.log(2))
-        assert entropy(mu, spec) == pytest.approx(want, abs=1e-12)
+        assert matching_value(mu, 0.0, spec) == pytest.approx(want, abs=1e-12)
 
     def test_positive_for_interior_matchings(self):
         rng = np.random.default_rng(17)
@@ -136,13 +135,7 @@ class TestEntropy:
             if np.any(slot_unmatched <= 0):
                 continue
             mu = Matching(demand[:, 1:], demand[:, 0], slot_unmatched)
-            assert entropy(mu, spec) > 0
-
-    def test_rejects_zero_mass(self):
-        spec = make_spec([1.0], [1.0])
-        mu = Matching(np.array([[0.0]]), np.array([1.0]), np.array([1.0]))
-        with pytest.raises(ValueError):
-            entropy(mu, spec)
+            assert matching_value(mu, 0.0, spec) > 0
 
 
 #: zero, subnormal, and normal masses across nine orders of magnitude
@@ -189,11 +182,9 @@ class TestMatchingValue:
             )
             single = matching_value(mu, phi, spec)
             assert single == pytest.approx(value, rel=1e-12, abs=1e-9)
-            masses = np.concatenate([mu.matched.ravel(), mu.unmatched_workers, mu.unmatched_slots])
-            if masses.min() >= MASS_FLOOR:
-                surplus = float((mu.matched * phi).sum())
-                assert single == pytest.approx(surplus + entropy(mu, spec), rel=1e-12, abs=1e-9)
-                assert matching_value(mu, 0.0, spec) == entropy(mu, spec)
+            surplus = float((mu.matched * phi).sum())
+            entropy = matching_value(mu, 0.0, spec)
+            assert single == pytest.approx(surplus + entropy, rel=1e-12, abs=1e-9)
 
 
 class TestConvexAnalysis:

@@ -13,13 +13,10 @@ from quotamatch.market import (
     Matching,
     SchemaViolationError,
     SurplusMatrix,
-    TaxScheme,
-    UnknownRegionError,
     _read_json,
     _write_json,
     load_market,
     load_result,
-    region_mass,
     region_masses,
     save_market,
     save_result,
@@ -88,15 +85,9 @@ def test_validate_flags_floor_on_empty_region():
 
 def test_region_mass_zero_and_single_term(single_pair):
     zero = Matching(np.zeros((1, 1)), np.zeros(1), np.zeros(1))
-    assert region_mass(zero, "z", single_pair) == 0.0
+    assert region_masses(zero, single_pair).tolist() == [0.0]
     half = Matching(np.array([[0.5]]), np.array([0.5]), np.array([0.5]))
-    assert region_mass(half, "z", single_pair) == 0.5
-
-
-def test_region_mass_unknown_region(single_pair):
-    mu = Matching(np.zeros((1, 1)), np.zeros(1), np.zeros(1))
-    with pytest.raises(UnknownRegionError):
-        region_mass(mu, "nope", single_pair)
+    assert region_masses(half, single_pair).tolist() == [0.5]
 
 
 def test_region_mass_matches_oracle_on_reference_market(example_market):
@@ -105,7 +96,7 @@ def test_region_mass_matches_oracle_on_reference_market(example_market):
     spec, phi = example_market
     result = solve_ae(spec, phi)
     oracle = descent_matching_at_taxes(spec, phi.phi, np.zeros(2))
-    got = region_mass(result.matching, "z1", spec)
+    got = region_masses(result.matching, spec)[spec.region_index("z1")]
     want = oracle.matched[:, [0, 1]].sum()
     assert got == pytest.approx(want, abs=1e-7)
 
@@ -124,14 +115,6 @@ def test_region_masses_account_for_all_matched_mass(example_market):
 def test_matching_requires_aligned_vectors():
     with pytest.raises(SchemaViolationError):
         Matching(np.zeros((2, 3)), np.zeros(3), np.zeros(3))
-
-
-def test_tax_scheme_split_parts():
-    taxes = TaxScheme(np.array([1.5, -0.5, 0.0]))
-    assert np.all(taxes.ceiling_part == [1.5, 0.0, 0.0])
-    assert np.all(taxes.floor_part == [0.0, 0.5, 0.0])
-    assert np.all(taxes.ceiling_part * taxes.floor_part == 0.0)
-    assert np.all(taxes.ceiling_part - taxes.floor_part == taxes.w)
 
 
 def test_surplus_matrix_rejects_nonfinite():
@@ -270,6 +253,9 @@ MALFORMED = {
     "result-no-dual-value": ("result", lambda doc: doc["diagnostics"].pop("dual_value")),
     "result-mu-int": ("result", lambda doc: doc.update(mu=5)),
     "result-diagnostics-list": ("result", lambda doc: doc.update(diagnostics=[1])),
+    "result-converged-string": ("result", lambda doc: doc["diagnostics"].update(converged="false")),
+    "result-iterations-float": ("result", lambda doc: doc["diagnostics"].update(inner_iterations=2.7)),
+    "result-iterations-bool": ("result", lambda doc: doc["diagnostics"].update(outer_iterations=True)),
     "covariates-s-null": ("covariates", lambda doc: doc.update(S=None)),
 }
 

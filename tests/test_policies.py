@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from quotamatch.experiments import (
     gen_jrmp_market,
     sweep_policies,
 )
+from quotamatch.logit import matching_value
 from quotamatch.market import region_masses
 from quotamatch.policies import (
     PolicyResult,
@@ -120,6 +123,16 @@ class TestCapReducedPolicy:
             extended.matched.sum(axis=0) + extended.unmatched_slots - spec.m
         ).max() < 1e-12
 
+    def test_unconverged_equilibrium_is_infeasible(self, jrmp, monkeypatch):
+        def unconverged(*args):
+            result = solve_ae(*args)
+            return replace(result, diagnostics=replace(result.diagnostics, converged=False))
+
+        spec, phi = jrmp
+        assert cap_reduced_ae(spec, phi, FLOORS, CAP_GRID, "z1").feasible
+        monkeypatch.setattr("quotamatch.policies.solve_ae", unconverged)
+        assert not cap_reduced_ae(spec, phi, FLOORS, CAP_GRID, "z1").feasible
+
 
 class TestBudgetBalancedPolicy:
     def test_singleton_zero_grid_reproduces_free_market(self, jrmp):
@@ -136,21 +149,29 @@ class TestBudgetBalancedPolicy:
         assert result.welfare.pm_surplus >= -1e-12
         assert result.feasible
 
+    def test_unconverged_grid_is_infeasible(self, jrmp, monkeypatch):
+        monkeypatch.setattr(
+            "quotamatch.policies.solve_ae_grid",
+            lambda *args: replace(solve_ae_grid(*args), converged=False),
+        )
+        spec, phi = jrmp
+        [result] = bbae(spec, phi, [FLOORS], default_grid(spec))
+        assert result.equilibrium.diagnostics.converged
+        assert not result.feasible
+
     def test_selection_maximizes_welfare_over_kept_set(self, jrmp):
         spec, phi = jrmp
         grid = default_grid(spec)
         gs = solve_ae_grid(spec, phi, grid)
         [chosen] = bbae(spec, phi, [FLOORS], grid)
         # Brute-force re-evaluation of every kept grid point.
-        from quotamatch.welfare import social_welfare
-
         best = -np.inf
         for g in range(grid.shape[0]):
             mu = gs.matching(g)
             w = gs.taxes[g]
             w_slot = w[spec.slot_region_index]
             pm = float((mu.matched * w_slot[None, :]).sum())
-            social = social_welfare(mu, phi, spec)
+            social = matching_value(mu, phi.phi, spec)
             # The grid prices every point once, as this loop does.
             assert gs.revenue[g] == pytest.approx(pm, rel=0, abs=1e-12)
             assert gs.social_welfare[g] == pytest.approx(social, rel=0, abs=1e-12)
@@ -189,7 +210,7 @@ class TestBudgetBalancedPolicy:
         spec, phi = jrmp
         [result] = bbae(spec, phi, [FLOORS], default_grid(spec))
         mu = result.equilibrium.matching
-        w_slot = result.equilibrium.taxes.per_slot(spec)
+        w_slot = result.equilibrium.taxes.w[spec.slot_region_index]
         want = float((mu.matched * (np.asarray(phi.phi) - w_slot[None, :])).sum())
         net = result.welfare.match_surplus - result.welfare.pm_surplus
         assert net == pytest.approx(want, abs=1e-8)

@@ -1,25 +1,21 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import random_constrained_market
 from quotamatch.ae import solve_ae
 from quotamatch.eae import InfeasibleQuotaError, dual_value, solve_eae
-from quotamatch.logit import EULER_GAMMA
+from quotamatch.logit import EULER_GAMMA, g_value, h_value, matching_value
 from quotamatch.market import Matching
-from quotamatch.welfare import (
-    agent_welfare,
-    breakdown,
-    location_offset,
-    pm_surplus,
-    social_welfare,
-)
+from quotamatch.welfare import breakdown, location_offset
 
 TWO_LOG_THREE = 2.0 * np.log(3.0)
 
 
 def test_social_welfare_zero_surplus(single_pair):
     mu = Matching(np.array([[0.5]]), np.array([0.5]), np.array([0.5]))
-    assert social_welfare(mu, np.zeros((1, 1)), single_pair) == pytest.approx(
+    assert matching_value(mu, np.zeros((1, 1)), single_pair) == pytest.approx(
         2 * np.log(2), abs=1e-12
     )
 
@@ -27,32 +23,32 @@ def test_social_welfare_zero_surplus(single_pair):
 def test_social_welfare_matches_dual_at_optimum(single_pair):
     phi = np.array([[2 * np.log(2)]])
     result = solve_ae(single_pair, phi)
-    value = social_welfare(result.matching, phi, single_pair)
+    value = breakdown(result, phi, single_pair).social
     assert value == pytest.approx(2 * np.log(3), abs=1e-9)
     assert value == pytest.approx(result.diagnostics.dual_value, abs=1e-9)
 
 
 def test_pm_surplus_zero_taxes(single_pair):
     mu = Matching(np.array([[0.5]]), np.array([0.5]), np.array([0.5]))
-    assert pm_surplus(mu, np.zeros(1), single_pair) == 0.0
+    result = solve_ae(single_pair, np.zeros((1, 1)))
+    assert breakdown(result, np.zeros((1, 1)), single_pair, mu).pm_surplus == 0.0
 
 
 def test_pm_surplus_ceiling_case(single_pair):
     spec = single_pair.with_quotas(upper={"z": 0.25})
     result = solve_eae(spec, np.zeros((1, 1)))
-    got = pm_surplus(result.matching, result.taxes, spec)
+    got = breakdown(result, np.zeros((1, 1)), spec).pm_surplus
     assert got == pytest.approx(0.25 * TWO_LOG_THREE, abs=1e-7)
 
 
 def test_agent_welfare_symmetric_case(single_pair):
-    worker, slot = agent_welfare(np.zeros((1, 1)), np.zeros((1, 1)), single_pair)
-    assert worker == pytest.approx(np.log(2), abs=1e-12)
-    assert slot == pytest.approx(np.log(2), abs=1e-12)
+    assert g_value(np.zeros((1, 1)), single_pair) == pytest.approx(np.log(2), abs=1e-12)
+    assert h_value(np.zeros((1, 1)), single_pair) == pytest.approx(np.log(2), abs=1e-12)
 
 
 def test_agent_welfare_monotone(single_pair):
-    base, _ = agent_welfare(np.zeros((1, 1)), np.zeros((1, 1)), single_pair)
-    bumped, _ = agent_welfare(np.array([[0.2]]), np.zeros((1, 1)), single_pair)
+    base = g_value(np.zeros((1, 1)), single_pair)
+    bumped = g_value(np.array([[0.2]]), single_pair)
     assert bumped > base
 
 
@@ -63,9 +59,10 @@ def test_reference_market_bookkeeping(example_market):
     result = solve_eae(spec, phi)
     wb = breakdown(result, phi, spec)
     dual = dual_value(result.utilities.U, result.utilities.V, result.taxes, spec)
+    ceiling_part = np.maximum(result.taxes.w, 0.0)
+    floor_part = np.maximum(-result.taxes.w, 0.0)
     split_revenue = float(
-        (spec.upper * result.taxes.ceiling_part)[result.taxes.ceiling_part > 0].sum()
-        - (spec.lower * result.taxes.floor_part).sum()
+        (spec.upper * ceiling_part)[ceiling_part > 0].sum() - (spec.lower * floor_part).sum()
     )
     assert wb.pm_surplus == pytest.approx(split_revenue, abs=1e-8)
     assert wb.worker_side + wb.slot_side + wb.pm_surplus == pytest.approx(dual, abs=1e-8)
@@ -112,7 +109,7 @@ def test_masses_near_underflow_price_and_exit_zero(single_pair, tmp_path):
     assert result.diagnostics.converged
     assert 0.0 < result.matching.matched[0, 0] < 1e-300
     wb = breakdown(solve_eae(single_pair, phi), phi, single_pair)
-    assert np.isfinite(list(wb.as_dict().values())).all()
+    assert np.isfinite(list(dataclasses.asdict(wb).values())).all()
 
     market = tmp_path / "market.json"
     surplus = tmp_path / "phi.json"
