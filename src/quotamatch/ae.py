@@ -22,6 +22,9 @@ complement that :meth:`FixedPoint.tangent` also solves with.
 One :class:`FixedPoint` holds a market's solution and warm-starts each solve
 from the last: :func:`solve_ae` is one cold solve, and the outer searches of
 :mod:`quotamatch.eae` and :mod:`quotamatch.estimation` keep one throughout.
+
+A solve is converged once its worst absolute population residual is at most
+``POPULATION_TOLERANCE`` (1e-10); ``MAX_ITERATIONS`` (10,000) caps its sweeps.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from .market import (
 )
 
 __all__ = [
-    "IpfpConfig",
     "KernelRangeError",
     "FixedPoint",
     "build_kernel",
@@ -53,6 +55,10 @@ __all__ = [
     "GridSolution",
 ]
 
+#: worst absolute population residual at which a fixed-point solve is converged
+POPULATION_TOLERANCE = 1e-10
+#: cap on the sweeps of one fixed-point solve
+MAX_ITERATIONS = 10_000
 #: exponent bound beyond which exp() would overflow a double
 _EXP_LIMIT = 700.0
 #: a sweep is followed by a Newton trial once the worst population residual
@@ -73,20 +79,6 @@ class KernelRangeError(ValueError):
     """Kernel exponent large enough to overflow; inputs are out of range."""
 
 
-@dataclass(frozen=True)
-class IpfpConfig:
-    """Fixed-point iteration controls."""
-
-    population_tolerance: float = 1e-10
-    max_iterations: int = 10_000
-
-    def __post_init__(self):
-        if not self.population_tolerance > 0:
-            raise ValueError("population_tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-
-
 def build_kernel(phi, taxes, spec: MarketSpec) -> np.ndarray:
     """Read-only, strictly positive (N, M) matching-function kernel
     exp((surplus - tax) / 2) for a surplus matrix and tax vector."""
@@ -103,7 +95,7 @@ def build_kernel(phi, taxes, spec: MarketSpec) -> np.ndarray:
     return kernel
 
 
-def _ipfp(n, m, kernel, tol, max_iterations, a0=None, b0=None, scale=1.0):
+def _ipfp(n, m, kernel, a0=None, b0=None, scale=1.0):
     """Run the alternating fixed point on the kernel ``kernel * scale``.
 
     ``kernel`` is (N, M). With the default scalar ``scale`` this solves one
@@ -157,12 +149,12 @@ def _ipfp(n, m, kernel, tol, max_iterations, a0=None, b0=None, scale=1.0):
     s = (b * scale) @ kernel.T
     radius = np.ones(s.shape[:-1])
     worst = np.inf
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         a = two_n / (s + np.hypot(s, root_n))
         t, b, s = slot_half_sweep(a)
         worker, slot = a * a + a * s - n, b * b + b * t - m
         worst, last = max(np.abs(worker).max(), np.abs(slot).max()), worst
-        if worst <= tol:
+        if worst <= POPULATION_TOLERANCE:
             break
         if worst >= _NEWTON_SWITCH and worst < _STALL * last:
             continue
@@ -188,7 +180,7 @@ def _ipfp(n, m, kernel, tol, max_iterations, a0=None, b0=None, scale=1.0):
         b = np.where(keep[..., None], b_new, b)
         s = np.where(keep[..., None], s_new, s)
         worst = np.where(keep, res_new, res).max()
-        if worst <= tol:
+        if worst <= POPULATION_TOLERANCE:
             break
     return a, b, iterations, float(worst)
 
@@ -251,27 +243,25 @@ class FixedPoint:
     ``iterations`` sums the sweeps of every solve, ``residual`` is the last's.
     """
 
-    def __init__(self, spec: MarketSpec, cfg: IpfpConfig | None = None):
+    def __init__(self, spec: MarketSpec):
         self.spec = spec
-        self.cfg = cfg or IpfpConfig()
         self.a = self.b = self.kernel = None
         self.iterations = 0
         self.residual = np.inf
 
     def solve(self, phi, w) -> FixedPoint:
         """Solve at surplus ``phi`` and per-region taxes ``w``; returns self."""
-        spec, cfg = self.spec, self.cfg
+        spec = self.spec
         self.kernel = build_kernel(phi, w, spec)
         self.a, self.b, iterations, self.residual = _ipfp(
-            spec.n, spec.m, self.kernel, cfg.population_tolerance, cfg.max_iterations,
-            self.a, self.b,
+            spec.n, spec.m, self.kernel, self.a, self.b
         )
         self.iterations += iterations
         return self
 
     @property
     def converged(self) -> bool:
-        return self.residual <= self.cfg.population_tolerance
+        return self.residual <= POPULATION_TOLERANCE
 
     def matching(self) -> Matching:
         a, b = self.a, self.b
@@ -333,18 +323,16 @@ class FixedPoint:
         return half + log_b[None, :] - log_a[:, None], half + log_a[:, None] - log_b[None, :]
 
 
-def solve_ae(
-    spec: MarketSpec, phi, taxes=None, cfg: IpfpConfig | None = None
-) -> EquilibriumResult:
+def solve_ae(spec: MarketSpec, phi, taxes=None) -> EquilibriumResult:
     """Solve the tax-fixed aggregate equilibrium (quotas ignored).
 
-    Population constraints are enforced to ``cfg.population_tolerance``; the
+    Population constraints are enforced to ``POPULATION_TOLERANCE``; the
     demand and binding-surplus conditions hold by construction. On iteration
     exhaustion a partial result is returned with ``converged`` set to False.
     """
     phi_arr = as_surplus_array(phi, spec)
     w = as_tax_array(taxes, spec)
-    fp = FixedPoint(spec, cfg).solve(phi_arr, w)
+    fp = FixedPoint(spec).solve(phi_arr, w)
     U, V = fp.utilities(phi_arr, w)
     mu = fp.matching()
     net = phi_arr - w[spec.slot_region_index][None, :]
@@ -360,7 +348,7 @@ def solve_ae(
         inner_iterations=fp.iterations,
         outer_iterations=0,
         converged=fp.converged,
-        tolerances={"population_tolerance": fp.cfg.population_tolerance},
+        tolerances={"population_tolerance": POPULATION_TOLERANCE},
     )
     return EquilibriumResult(mu, SystematicUtilities(U, V), TaxScheme(w), diag)
 
@@ -391,9 +379,7 @@ class GridSolution:
         return Matching(self.matched[g], self.unmatched_workers[g], self.unmatched_slots[g])
 
 
-def solve_ae_grid(
-    spec: MarketSpec, phi, tax_grid, cfg: IpfpConfig | None = None
-) -> GridSolution:
+def solve_ae_grid(spec: MarketSpec, phi, tax_grid) -> GridSolution:
     """Solve and price the tax-fixed equilibrium at every tax vector of a grid.
 
     Grid points are independent, so they are advanced in lockstep with the
@@ -405,7 +391,6 @@ def solve_ae_grid(
     grid; the exponent of ``scale_g`` is the largest of the point's kernel,
     so the range check applies to it.
     """
-    cfg = cfg or IpfpConfig()
     phi_arr = as_surplus_array(phi, spec)
     grid = np.asarray(tax_grid, dtype=np.float64)
     if grid.ndim != 2 or grid.shape[1] != spec.num_regions:
@@ -419,9 +404,7 @@ def solve_ae_grid(
         raise KernelRangeError("kernel exponent out of range somewhere on the tax grid")
     base = np.exp(0.5 * (phi_arr - top[None, :]))
     scale = np.exp(exponent)
-    a, b, iterations, residual = _ipfp(
-        spec.n, spec.m, base, cfg.population_tolerance, cfg.max_iterations, scale=scale
-    )
+    a, b, iterations, residual = _ipfp(spec.n, spec.m, base, scale=scale)
     matched = a[:, :, None] * base[None, :, :] * (b * scale)[:, None, :]
     mu = SimpleNamespace(matched=matched, unmatched_workers=a * a, unmatched_slots=b * b)
     per_slot = matched.sum(axis=1)
@@ -438,5 +421,5 @@ def solve_ae_grid(
         social_welfare=matching_value(mu, phi_arr, spec),
         iterations=iterations,
         residual=residual,
-        converged=residual <= cfg.population_tolerance,
+        converged=residual <= POPULATION_TOLERANCE,
     )

@@ -1,8 +1,9 @@
 """Command-line interface for batch solving, estimation, and experiments.
 
-Exit codes: 0 on converged success, 1 on usage or file errors and on
-out-of-range input (KernelRangeError: surplus minus tax too large for exp),
-2 when a solver fails to converge or a verification fails, 3 when quotas are
+Exit codes: 0 on converged success, 1 on usage errors, on file-system
+errors (a missing file, a directory), on malformed files and on out-of-range
+input (KernelRangeError: surplus minus tax too large for exp), 2 when a
+solver fails to converge or a verification fails, 3 when quotas are
 infeasible.
 
 ``estimate`` fits by BFGS with the exact gradient of the KL criterion. It
@@ -29,9 +30,9 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments
-from .ae import IpfpConfig, solve_ae
-from .eae import EaeConfig, InfeasibleQuotaError, solve_eae, verify_kkt
-from .estimation import EstimationConfig, EstimationError, estimate, load_covariates
+from .ae import solve_ae
+from .eae import InfeasibleQuotaError, solve_eae, verify_kkt
+from .estimation import EstimationError, estimate, load_covariates
 from .market import (
     UnknownRegionError,
     load_market,
@@ -54,23 +55,38 @@ EXIT_INFEASIBLE = 3
 MAX_RANGE_POINTS = 1_000_000
 
 
-def _parse_range(text: str) -> list[float]:
-    """Parse '0.1:0.4:0.05' into an inclusive grid, or a comma list, of finite
-    numbers; a range over ``MAX_RANGE_POINTS`` points is rejected before it
-    is built. Each failure is a ValueError (exit 1)."""
-    values = [float(v) for v in text.split(":" if ":" in text else ",")]
+def _parse_range(text: str, flag: str) -> list[float]:
+    """Parse the value of ``flag``: '0.1:0.4:0.05' is an inclusive grid and
+    '0.1,0.3' a list, of finite numbers. A range over ``MAX_RANGE_POINTS``
+    points is rejected before it is built. Each failure is a ValueError
+    (exit 1) that quotes the range and names the flag."""
+    quoted = f"range {text!r} of {flag}"
+    ranged = ":" in text
+    try:
+        values = [float(v) for v in text.split(":" if ranged else ",")]
+        if ranged:
+            lo, hi, step = values
+    except ValueError:
+        raise ValueError(f"{quoted} is neither lo:hi:step nor a comma list of numbers") from None
     if not np.isfinite(values).all():
-        raise ValueError(f"range {text!r} has a non-finite number")
-    if ":" not in text:
+        raise ValueError(f"{quoted} has a non-finite number")
+    if not ranged:
         return values
-    lo, hi, step = values
     if not (step > 0.0 and hi >= lo):
-        raise ValueError(f"range {text!r} needs a positive step and hi >= lo")
+        raise ValueError(f"{quoted} needs a positive step and hi >= lo")
     span = (hi - lo) / step
     # round(span) + 1 points; an infinite span (hi - lo overflowed) fails too
     if not span < MAX_RANGE_POINTS - 0.5:
-        raise ValueError(f"range {text!r} has more than {MAX_RANGE_POINTS} points")
+        raise ValueError(f"{quoted} has more than {MAX_RANGE_POINTS} points")
     return [round(lo + i * step, 12) for i in range(int(round(span)) + 1)]
+
+
+def _parse_counts(text: str, flag: str) -> tuple[int, ...]:
+    """:func:`_parse_range` for a flag whose every value must be a whole number."""
+    values = _parse_range(text, flag)
+    if any(v != int(v) for v in values):
+        raise ValueError(f"range {text!r} of {flag} has a count that is not a whole number")
+    return tuple(int(v) for v in values)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -91,15 +107,12 @@ def build_parser() -> argparse.ArgumentParser:
         if taxes:
             p.add_argument("--taxes", help="tax JSON file (key 'w'); defaults to zero taxes")
         p.add_argument("--out", required=True, help="output path")
-        p.add_argument("--tol-pop", type=float, default=1e-10, help="population tolerance")
 
     p = sub.add_parser("solve-ae", help="solve the tax-fixed equilibrium (quotas ignored)")
     add_common(p, taxes=True)
 
     p = sub.add_parser("solve-eae", help="solve the welfare-maximizing taxes under quotas")
     add_common(p)
-    p.add_argument("--tol-tax", type=float, default=1e-8, help="tax search tolerance")
-    p.add_argument("--tol-kkt", type=float, default=1e-8, help="constraint/KKT tolerance")
 
     p = sub.add_parser("estimate", help="fit surplus coefficients to an observed matching")
     p.add_argument("--market", required=True)
@@ -107,7 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--covariates", required=True, help="covariates JSON (keys 'S', 'c')")
     p.add_argument("--taxes", help="observed taxes JSON; defaults to zero")
     p.add_argument("--out", required=True)
-    p.add_argument("--tol-pop", type=float, default=1e-10)
 
     p = sub.add_parser("counterfactual", help="compare quota policies on one market")
     p.add_argument("--market", required=True)
@@ -115,13 +127,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="CSV of per-policy rows")
     p.add_argument("--floors", required=True, help="floor level(s): lo:hi:step or comma list")
     p.add_argument("--urban-region", help="region receiving caps (default: the region without a floor)")
-    for flag, default, text in (
-        ("--grid", experiments.UPPER_BOUND_GRID, "upper-bound candidate grid (default 0.10:0.50:0.01)"),
-        ("--cap-grid", experiments.CAP_GRID, "artificial capacity grid (default 0.050:0.25:0.005)"),
-        ("--tax-grid", experiments.BB_TAX_AXIS, "capped region's budget-balance tax axis (default 0:10:0.5)"),
-        ("--subsidy-grid", experiments.BB_SUBSIDY_AXIS, "each floor region's subsidy axis (default -0.2:0:0.01)"),
-    ):
-        p.add_argument(flag, type=_parse_range, default=default, help=text)
+    p.add_argument("--grid", help="upper-bound candidate grid (default 0.10:0.50:0.01)")
+    p.add_argument("--cap-grid", help="artificial capacity grid (default 0.050:0.25:0.005)")
+    p.add_argument("--tax-grid", help="capped region's budget-balance tax axis (default 0:10:0.5)")
+    p.add_argument("--subsidy-grid", help="each floor region's subsidy axis (default -0.2:0:0.01)")
 
     p = sub.add_parser("experiment", help="run the residency floor sweep and emit panel CSVs")
     p.add_argument("--seeds", type=int, default=30, help="number of replications")
@@ -133,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
 
     p = sub.add_parser("bench", help="time the constrained solver across market sizes")
-    p.add_argument("--worker-types", default="10,20", help="comma list of worker type counts")
+    p.add_argument("--worker-types", default="10,20", help="worker type counts: lo:hi:step or comma list")
     p.add_argument("--regions", default="5:100:5", help="region counts: lo:hi:step or comma list")
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
@@ -152,7 +161,7 @@ def _cmd_solve_ae(args) -> int:
     spec = load_market(args.market)
     phi = load_surplus(args.phi, spec)
     taxes = load_taxes(args.taxes, spec) if args.taxes else None
-    result = solve_ae(spec, phi, taxes, IpfpConfig(population_tolerance=args.tol_pop))
+    result = solve_ae(spec, phi, taxes)
     save_result(result, args.out, spec, welfare=breakdown(result, phi, spec))
     _report(result, spec)
     return EXIT_OK if result.diagnostics.converged else EXIT_NOT_CONVERGED
@@ -161,12 +170,7 @@ def _cmd_solve_ae(args) -> int:
 def _cmd_solve_eae(args) -> int:
     spec = load_market(args.market)
     phi = load_surplus(args.phi, spec)
-    cfg = EaeConfig(
-        tax_tolerance=args.tol_tax,
-        constraint_tolerance=args.tol_kkt,
-        inner=IpfpConfig(population_tolerance=args.tol_pop),
-    )
-    result = solve_eae(spec, phi, cfg)
+    result = solve_eae(spec, phi)
     save_result(result, args.out, spec, welfare=breakdown(result, phi, spec))
     _report(result, spec)
     return EXIT_OK if result.diagnostics.converged else EXIT_NOT_CONVERGED
@@ -192,8 +196,7 @@ def _cmd_estimate(args) -> int:
     observed = load_matching(args.observed, spec)
     covariates = load_covariates(args.covariates, spec)
     taxes = load_taxes(args.taxes, spec) if args.taxes else None
-    cfg = EstimationConfig(inner=IpfpConfig(population_tolerance=args.tol_pop))
-    model, report = estimate(observed, covariates, taxes, spec, cfg)
+    model, report = estimate(observed, covariates, taxes, spec)
     _write_json(
         {
             "coefficients": list(model.coefficients),
@@ -214,9 +217,19 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_counterfactual(args) -> int:
+    floors = _parse_range(args.floors, "--floors")
+    # An absent grid flag leaves the harness's grid.
+    grids = [
+        default if value is None else _parse_range(value, flag)
+        for flag, value, default in (
+            ("--grid", args.grid, experiments.UPPER_BOUND_GRID),
+            ("--cap-grid", args.cap_grid, experiments.CAP_GRID),
+            ("--tax-grid", args.tax_grid, experiments.BB_TAX_AXIS),
+            ("--subsidy-grid", args.subsidy_grid, experiments.BB_SUBSIDY_AXIS),
+        )
+    ]
     spec = load_market(args.market)
     phi = load_surplus(args.phi, spec)
-    floors = _parse_range(args.floors)
     if args.urban_region:
         urban = args.urban_region
     else:
@@ -228,10 +241,7 @@ def _cmd_counterfactual(args) -> int:
             )
         urban = candidates[0]
     floor_regions = [z for z in spec.regions if z != urban]
-    sweep = experiments.sweep_policies(
-        spec, phi, floors, urban, floor_regions,
-        args.grid, args.cap_grid, args.tax_grid, args.subsidy_grid,
-    )
+    sweep = experiments.sweep_policies(spec, phi, floors, urban, floor_regions, *grids)
     records = []
     status = EXIT_OK
     for floor, results in zip(floors, sweep):
@@ -251,7 +261,7 @@ def _cmd_counterfactual(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    floor_grid = tuple(_parse_range(args.floors))
+    floor_grid = tuple(_parse_range(args.floors, "--floors"))
     seeds = tuple(derive_seed(args.seed, f"replication/{i}") for i in range(args.seeds))
     cfg = experiments.JrmpConfig(seeds=seeds, floor_grid=floor_grid, replications=args.seeds)
     if args.jobs > 1:
@@ -271,8 +281,8 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_bench(args) -> int:
     cfg = experiments.ScalingConfig(
-        worker_type_counts=tuple(int(v) for v in args.worker_types.split(",")),
-        region_counts=tuple(int(v) for v in _parse_range(args.regions)),
+        worker_type_counts=_parse_counts(args.worker_types, "--worker-types"),
+        region_counts=_parse_counts(args.regions, "--regions"),
         trials=args.trials,
         master_seed=args.seed,
     )
@@ -322,8 +332,9 @@ def main(argv=None) -> int:
         return EXIT_OK if e.code == 0 else EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, UnknownRegionError, FileNotFoundError) as e:
-        # MarketFileError and SchemaViolationError are ValueErrors.
+    except (ValueError, UnknownRegionError, OSError) as e:
+        # MarketFileError and SchemaViolationError are ValueErrors; a missing
+        # file, a directory or a denied permission is an OSError.
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except InfeasibleQuotaError as e:

@@ -5,7 +5,7 @@ With the taxes ``w`` fixed, the equilibrium value ``W(w) = G(U) + H(V)`` of
 Salanie, *Cupid's Invisible Hand*, ReStud 2022). Writing ``w = p - q`` with
 ceiling and floor parts ``p, q >= 0``, tax design is the bounded convex program
 
-    min  W(p - q) + upper . p - lower . q   over  p, q in [0, bracket_limit],
+    min  W(p - q) + upper . p - lower . q   over  p, q in [0, BRACKET_LIMIT],
 
 with ``p_z`` held at zero where the ceiling is infinite and ``q_z`` where the
 floor is zero. At its optimum a region whose mass lies inside its quota
@@ -18,6 +18,11 @@ leaves noise in ``W`` that stalls L-BFGS-B short of the constraint tolerance,
 so a Newton polish with the exact Jacobian of region mass in the taxes
 (:meth:`~quotamatch.ae.FixedPoint.mass_jacobian`) then puts every binding
 region on its bound.
+
+The polish stops at a tax step of ``TAX_TOLERANCE`` (1e-8); the search's
+gradient and the certified KKT residuals are within ``CONSTRAINT_TOLERANCE``
+(1e-8); every tax and subsidy is within ``BRACKET_LIMIT`` (64), and a quota
+still violated there is infeasible.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import optimize
 
-from .ae import FixedPoint, IpfpConfig
+from . import ae
 from .logit import g_gradient, g_value, h_gradient, h_value, matching_value
 from .market import (
     Diagnostics,
@@ -42,7 +47,6 @@ from .market import (
 )
 
 __all__ = [
-    "EaeConfig",
     "KKTReport",
     "InfeasibleQuotaError",
     "solve_eae",
@@ -50,6 +54,12 @@ __all__ = [
     "dual_value",
 ]
 
+#: Newton step in the taxes at which the polish stops
+TAX_TOLERANCE = 1e-8
+#: gradient tolerance of the search and certification tolerance of the result
+CONSTRAINT_TOLERANCE = 1e-8
+#: largest tax or subsidy the search may set
+BRACKET_LIMIT = 64.0
 #: iteration cap of the L-BFGS-B search; it stops far earlier, on stalling
 _LBFGS_ITERATIONS = 1000
 #: cap on the Newton polish; it needs a few steps once the binding set is known
@@ -58,20 +68,6 @@ _POLISH_STEPS = 20
 
 class InfeasibleQuotaError(RuntimeError):
     """A quota cannot be met by any tax in the admissible bracket."""
-
-
-@dataclass(frozen=True)
-class EaeConfig:
-    """Outer-loop controls for the constrained tax search."""
-
-    tax_tolerance: float = 1e-8
-    constraint_tolerance: float = 1e-8
-    bracket_limit: float = 64.0
-    inner: IpfpConfig = IpfpConfig()
-
-    def __post_init__(self):
-        if not (self.tax_tolerance > 0 and self.constraint_tolerance > 0):
-            raise ValueError("tolerances must be positive")
 
 
 @dataclass(frozen=True)
@@ -94,26 +90,20 @@ class KKTReport:
     passed: bool
 
 
-def solve_eae(
-    spec: MarketSpec,
-    phi,
-    cfg: EaeConfig | None = None,
-    initial_taxes=None,
-) -> EquilibriumResult:
+def solve_eae(spec: MarketSpec, phi, initial_taxes=None) -> EquilibriumResult:
     """Compute the unique welfare-maximizing equilibrium under the quotas.
 
-    Raises InfeasibleQuotaError when a tax reaches ``cfg.bracket_limit`` while
+    Raises InfeasibleQuotaError when a tax reaches ``BRACKET_LIMIT`` while
     its quota is still violated by more than the constraint tolerance.
     Otherwise returns a result whose ``converged`` flag is True iff the final
     fixed-point solve converged and :func:`verify_kkt` passes against the true
     surplus at the constraint tolerance.
     """
-    cfg = cfg or EaeConfig()
     report = validate_market(spec)
     if not report.ok:
         raise ValueError(f"market is not admissible: {report}")
     phi_arr = as_surplus_array(phi, spec)
-    fp = FixedPoint(spec, cfg.inner)
+    fp = ae.FixedPoint(spec)
     L = spec.num_regions
     upper = np.where(np.isfinite(spec.upper), spec.upper, 0.0)
 
@@ -122,7 +112,7 @@ def solve_eae(
         value = fp.value() + upper @ x[:L] - spec.lower @ x[L:]
         return value, np.concatenate([upper - masses, masses - spec.lower])
 
-    hi = np.concatenate([np.isfinite(spec.upper), spec.lower > 0.0]) * cfg.bracket_limit
+    hi = np.concatenate([np.isfinite(spec.upper), spec.lower > 0.0]) * BRACKET_LIMIT
     w0 = as_tax_array(initial_taxes, spec)
     x0 = np.clip(np.concatenate([np.maximum(w0, 0.0), np.maximum(-w0, 0.0)]), 0.0, hi)
     search = optimize.minimize(
@@ -131,7 +121,7 @@ def solve_eae(
         jac=True,
         method="L-BFGS-B",
         bounds=list(zip(np.zeros(2 * L), hi)),
-        options={"maxiter": _LBFGS_ITERATIONS, "ftol": 0.0, "gtol": cfg.constraint_tolerance},
+        options={"maxiter": _LBFGS_ITERATIONS, "ftol": 0.0, "gtol": CONSTRAINT_TOLERANCE},
     )
 
     # Newton polish on the binding set. A region binds at its ceiling when
@@ -142,7 +132,7 @@ def solve_eae(
     # that takes a settled gap (within half the tolerance) out again is
     # undone, and the polish stops at the settled taxes.
     w = search.x[:L] - search.x[L:]
-    half_tol = 0.5 * cfg.constraint_tolerance
+    half_tol = 0.5 * CONSTRAINT_TOLERANCE
     polish_steps = 0
     step = np.inf
     settled = None
@@ -161,7 +151,7 @@ def solve_eae(
             settled = w
         if (
             not active.any()
-            or (within and step <= cfg.tax_tolerance)
+            or (within and step <= TAX_TOLERANCE)
             or polish_steps == _POLISH_STEPS
         ):
             break
@@ -172,7 +162,7 @@ def solve_eae(
         target = np.zeros(L)
         target[active] = w[active] + delta
         target = np.where(ceiling, np.maximum(target, 0.0), np.minimum(target, 0.0))
-        target = np.clip(target, -cfg.bracket_limit, cfg.bracket_limit)
+        target = np.clip(target, -BRACKET_LIMIT, BRACKET_LIMIT)
         step = float(np.abs(target - w).max())
         polish_steps += 1
         if step == 0.0:
@@ -180,12 +170,12 @@ def solve_eae(
         w = target
 
     violation = np.maximum(masses - spec.upper, spec.lower - masses)
-    stuck = np.flatnonzero((np.abs(w) >= cfg.bracket_limit) & (violation > cfg.constraint_tolerance))
+    stuck = np.flatnonzero((np.abs(w) >= BRACKET_LIMIT) & (violation > CONSTRAINT_TOLERANCE))
     if stuck.size:
         zi = stuck[0]
         raise InfeasibleQuotaError(
             f"{'ceiling' if w[zi] > 0 else 'floor'} of region {spec.regions[zi]} "
-            f"unreachable within tax bracket [-{cfg.bracket_limit:g}, {cfg.bracket_limit:g}]"
+            f"unreachable within tax bracket [-{BRACKET_LIMIT:g}, {BRACKET_LIMIT:g}]"
         )
 
     # The last solve was at the final tax vector, so the fixed point is
@@ -197,7 +187,7 @@ def solve_eae(
         TaxScheme(w),
         Diagnostics(0.0, 0.0, 0.0, np.inf, 0, 0, False),
     )
-    kkt = verify_kkt(result, spec, phi_arr, tol=cfg.constraint_tolerance)
+    kkt = verify_kkt(result, spec, phi_arr, tol=CONSTRAINT_TOLERANCE)
     diag = Diagnostics(
         dual_value=kkt.dual_value,
         primal_value=kkt.primal_value,
@@ -207,9 +197,9 @@ def solve_eae(
         outer_iterations=getattr(search, "nit", 0) + polish_steps,
         converged=bool(fp.converged and kkt.passed),
         tolerances={
-            "population_tolerance": cfg.inner.population_tolerance,
-            "tax_tolerance": cfg.tax_tolerance,
-            "constraint_tolerance": cfg.constraint_tolerance,
+            "population_tolerance": ae.POPULATION_TOLERANCE,
+            "tax_tolerance": TAX_TOLERANCE,
+            "constraint_tolerance": CONSTRAINT_TOLERANCE,
         },
     )
     return replace(result, diagnostics=diag)

@@ -20,6 +20,9 @@ Taxes are held fixed at their observed values throughout. Observed matchings
 must be strictly positive on every type pair; zero cells are rejected rather
 than smoothed, since a missing match mass is informative of an unbounded
 surplus penalty and breaks identification.
+
+A fit is converged at a divergence of ``KL_TOLERANCE`` (1e-10);
+``MAX_OUTER_EVALS`` (5,000) caps its objective evaluations.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import optimize
 
-from .ae import FixedPoint, IpfpConfig, solve_ae
+from .ae import FixedPoint, solve_ae
 from .market import (
     Matching,
     MarketSpec,
@@ -41,7 +44,6 @@ from .market import (
 __all__ = [
     "CovariateBasis",
     "SurplusModel",
-    "EstimationConfig",
     "FitReport",
     "EstimationError",
     "surplus_from_covariates",
@@ -51,7 +53,10 @@ __all__ = [
     "load_covariates",
 ]
 
-
+#: divergence at which a fit is converged
+KL_TOLERANCE = 1e-10
+#: cap on the objective evaluations of one fit
+MAX_OUTER_EVALS = 5000
 #: sup-norm of the KL gradient at which BFGS stops; the gradient's noise
 #: floor, set by the fixed point's population tolerance, is about 1e-9
 _GRADIENT_TOLERANCE = 1e-8
@@ -94,19 +99,6 @@ class SurplusModel:
         object.__setattr__(self, "coefficients", arr)
         if arr.ndim != 1 or not np.isfinite(arr).all():
             raise ValueError("coefficients must be a finite vector")
-
-
-@dataclass(frozen=True)
-class EstimationConfig:
-    kl_tolerance: float = 1e-10
-    max_outer_evals: int = 5000
-    inner: IpfpConfig = IpfpConfig()
-
-    def __post_init__(self):
-        if not self.kl_tolerance > 0:
-            raise ValueError("kl_tolerance must be positive")
-        if self.max_outer_evals < 1:
-            raise ValueError("max_outer_evals must be at least 1")
 
 
 @dataclass
@@ -163,15 +155,13 @@ def log_likelihood(
     observed: Matching,
     taxes,
     spec: MarketSpec,
-    cfg: EstimationConfig | None = None,
 ) -> float:
     """Multinomial log likelihood of the observed matches under the model.
 
     Up to a coefficient-independent constant this is the negative observed
     mass times the KL divergence, so both criteria share their best coefficients.
     """
-    cfg = cfg or EstimationConfig()
-    result = solve_ae(spec, surplus_from_covariates(model, c), taxes, cfg.inner)
+    result = solve_ae(spec, surplus_from_covariates(model, c), taxes)
     if not result.diagnostics.converged:
         raise EstimationError(
             f"inner solve did not converge at coefficients {model.coefficients.tolist()}"
@@ -215,20 +205,18 @@ def estimate(
     c: CovariateBasis,
     taxes,
     spec: MarketSpec,
-    cfg: EstimationConfig | None = None,
 ) -> tuple[SurplusModel, FitReport]:
     """Fit surplus coefficients to an observed matching.
 
     Runs BFGS from zero coefficients with the exact gradient of the
     divergence and returns the best coefficients found together with the
     search trace. The fit is converged when the divergence falls to
-    ``kl_tolerance`` ("kl tolerance reached") or BFGS reaches a stationary
+    ``KL_TOLERANCE`` ("kl tolerance reached") or BFGS reaches a stationary
     point, its gradient's sup-norm at most 1e-8 ("stationary point").
     Otherwise it is not, and the message says why: "evaluation budget
-    exhausted" after ``max_outer_evals`` evaluations, or "stalled: " and
+    exhausted" after ``MAX_OUTER_EVALS`` evaluations, or "stalled: " and
     BFGS's own message.
     """
-    cfg = cfg or EstimationConfig()
     obs = _pair_vector(observed)
     if np.any(obs <= 0.0):
         raise ValueError("observed matching must be strictly positive on every type pair")
@@ -238,7 +226,7 @@ def estimate(
 
     report = FitReport()
     best = {"kl": np.inf, "lam": x0.copy()}
-    fp = FixedPoint(spec, cfg.inner)
+    fp = FixedPoint(spec)
 
     def objective(lam: np.ndarray) -> tuple[float, np.ndarray]:
         if not fp.solve(surplus_from_covariates(SurplusModel(lam), c), w).converged:
@@ -249,7 +237,7 @@ def estimate(
             best["kl"] = kl
             best["lam"] = np.array(lam)
         report.kl_trace.append(best["kl"])
-        if best["kl"] <= cfg.kl_tolerance or report.n_evals >= cfg.max_outer_evals:
+        if best["kl"] <= KL_TOLERANCE or report.n_evals >= MAX_OUTER_EVALS:
             raise _StopSearch
         return kl, _kl_gradient(p, fp, c.c)
 
@@ -260,13 +248,13 @@ def estimate(
             x0,
             method="BFGS",
             jac=True,
-            options={"gtol": _GRADIENT_TOLERANCE, "maxiter": cfg.max_outer_evals},
+            options={"gtol": _GRADIENT_TOLERANCE, "maxiter": MAX_OUTER_EVALS},
         )
     except _StopSearch:
         pass
 
     report.final_kl = best["kl"]
-    if best["kl"] <= cfg.kl_tolerance:
+    if best["kl"] <= KL_TOLERANCE:
         report.converged, report.message = True, "kl tolerance reached"
     elif search is None:
         report.message = "evaluation budget exhausted"
@@ -280,8 +268,13 @@ def estimate(
 def load_covariates(path, spec: MarketSpec) -> CovariateBasis:
     """Load a covariate file: JSON with integer `S` and array `c` (N x M x S)."""
     with _document(path) as data:
-        s = int(data["S"])
-        c = CovariateBasis(np.asarray(data["c"], dtype=np.float64))
+        s, raw = data["S"], np.asarray(data["c"])
+        # bool subclasses int: a count written as true is refused too.
+        if type(s) is not int:
+            raise ValueError("S must be a JSON integer")
+        if raw.dtype.kind not in "iuf":
+            raise ValueError("c entries must be numbers")
+        c = CovariateBasis(raw)
         if c.c.shape != (spec.num_workers, spec.num_slots, s):
             raise ValueError(
                 f"covariate array shape {c.c.shape} does not match "

@@ -51,6 +51,9 @@ CAP_GRID = tuple(np.round(np.linspace(0.050, 0.25, 41), 10))
 #: tax grid axes for the budget-balanced policy
 BB_TAX_AXIS = tuple(np.round(np.linspace(0.0, 10.0, 21), 10))
 BB_SUBSIDY_AXIS = tuple(np.round(np.linspace(-0.2, 0.0, 21), 10))
+#: the residency market's capped region and its floor regions
+URBAN_REGION = "z1"
+FLOOR_REGIONS = ("z2", "z3")
 #: slot types per region in the scaling benchmark's markets
 HOSPITALS_PER_REGION = 10
 
@@ -67,8 +70,6 @@ class JrmpConfig:
     seeds: tuple[int, ...] | None = None
     floor_grid: tuple[float, ...] = tuple(np.round(np.linspace(0.10, 0.40, 7), 10))
     replications: int = 30
-    urban_region: str = "z1"
-    floor_regions: tuple[str, ...] = ("z2", "z3")
 
     def __post_init__(self):
         if any(not 0.0 <= f <= 0.5 for f in self.floor_grid):
@@ -102,15 +103,15 @@ class ScalingConfig:
 def gen_jrmp_market(seed: int) -> tuple[MarketSpec, SurplusMatrix]:
     """Residency-style market: 10 worker types, 6 slot types in 3 regions.
 
-    The first region holds the two popular slot types (base surplus 2.0), the
-    other two regions hold the unpopular ones (base 0.5); unit-variance noise
+    ``URBAN_REGION`` holds the two popular slot types (base surplus 2.0), the
+    two ``FLOOR_REGIONS`` hold the unpopular ones (base 0.5); unit-variance noise
     is added cell by cell from the seeded stream. Quotas are left open so the
     sweep can impose floors per level on a fixed draw.
     """
     rng = SplitMix64(seed)
     worker_types = tuple(f"x{i + 1}" for i in range(10))
     slot_types = tuple(f"y{j + 1}" for j in range(6))
-    regions = ("z1", "z2", "z3")
+    regions = (URBAN_REGION, *FLOOR_REGIONS)
     region_of = {y: regions[j // 2] for j, y in enumerate(slot_types)}
     base = np.where(np.arange(6) < 2, 2.0, 0.5)
     noise = rng.normals((10, 6))
@@ -217,10 +218,8 @@ class PanelData:
             if not cell:
                 rows.append((floor, policy, np.nan, np.nan))
                 continue
-            taxes = np.array([r.taxes[self.cfg.urban_region] for r in cell])
-            subsidies = np.array(
-                [np.mean([r.taxes[z] for z in self.cfg.floor_regions]) for r in cell]
-            )
+            taxes = np.array([r.taxes[URBAN_REGION] for r in cell])
+            subsidies = np.array([np.mean([r.taxes[z] for z in FLOOR_REGIONS]) for r in cell])
             rows.append((floor, policy, float(taxes.mean()), float(subsidies.mean())))
         return rows
 
@@ -315,9 +314,9 @@ def sweep_one_seed(seed: int, cfg: JrmpConfig) -> list[SweepRecord]:
     unconstrained equilibrium plus :func:`sweep_policies` on one surplus draw."""
     spec, phi = gen_jrmp_market(seed)
     unconstrained = policy_result("unconstrained", solve_ae(spec, phi), phi, spec)
-    sweep = sweep_policies(spec, phi, cfg.floor_grid, cfg.urban_region, cfg.floor_regions)
+    sweep = sweep_policies(spec, phi, cfg.floor_grid, URBAN_REGION, FLOOR_REGIONS)
     return [
-        policy_record(floor, seed, r, spec, cfg.urban_region, cfg.floor_regions)
+        policy_record(floor, seed, r, spec, URBAN_REGION, FLOOR_REGIONS)
         for floor, results in zip(cfg.floor_grid, sweep)
         for r in [unconstrained, *results]
     ]

@@ -208,10 +208,20 @@ class SurplusMatrix:
             raise SchemaViolationError("surplus matrix entries must be finite")
 
 
+def _number_array(raw, name: str) -> np.ndarray:
+    """``raw`` as a float array. It is refused unless the dtype one np.asarray
+    call infers is integer or float, so strings and booleans are; numpy casts
+    a list that mixes booleans with numbers, which therefore passes."""
+    arr = np.asarray(raw)
+    if arr.dtype.kind not in "iuf":
+        raise SchemaViolationError(f"{name} entries must be numbers")
+    return arr.astype(np.float64, copy=False)
+
+
 def as_surplus_array(phi, spec: MarketSpec, name: str = "surplus matrix") -> np.ndarray:
-    """Normalize a SurplusMatrix or any N x M array (``name`` in errors) to a
-    validated ndarray."""
-    arr = phi.phi if isinstance(phi, SurplusMatrix) else np.asarray(phi, dtype=np.float64)
+    """Normalize a SurplusMatrix or any N x M array of numbers (``name`` in
+    errors) to a validated ndarray."""
+    arr = phi.phi if isinstance(phi, SurplusMatrix) else _number_array(phi, name)
     if arr.shape != (spec.num_workers, spec.num_slots):
         raise SchemaViolationError(
             f"{name} shape {arr.shape} does not match market "
@@ -441,10 +451,22 @@ def _document(path):
         raise SchemaViolationError(f"{path}: a field has the wrong type: {e}") from None
 
 
+_JSON_KINDS = {bool: "boolean", int: "integer", float: "number", str: "string"}
+
+
 def _json_typed(raw: object, kind: type, what: str):
-    # bool subclasses int, so a count written as true or false is refused too.
-    if not isinstance(raw, kind) or (kind is int and isinstance(raw, bool)):
-        raise ValueError(f"{what} must be a JSON {'boolean' if kind is bool else 'integer'}")
+    # ``float`` stands for any JSON number. bool subclasses int, so a count
+    # or number written as true or false is refused too.
+    if not isinstance(raw, (int, float) if kind is float else kind) or (
+        kind is not bool and isinstance(raw, bool)
+    ):
+        raise ValueError(f"{what} must be a JSON {_JSON_KINDS[kind]}")
+    return float(raw) if kind is float else raw
+
+
+def _identifiers(raw: object, what: str) -> list[str]:
+    if not isinstance(raw, list) or not all(isinstance(t, str) for t in raw):
+        raise ValueError(f"{what} must be a JSON array of strings")
     return raw
 
 
@@ -455,8 +477,15 @@ def _mass_vector(raw: object, ids: Sequence[str], what: str) -> np.ndarray:
     for i, t in enumerate(ids):
         if t not in raw:
             raise SchemaViolationError(f"{what} is missing an entry for {t!r}")
-        out[i] = float(raw[t])
+        out[i] = _json_typed(raw[t], float, f"{what}[{t!r}]")
     return out
+
+
+def _tax_document(raw: object) -> object:
+    """A file's tax field, a map from region to number or an array of numbers."""
+    if isinstance(raw, dict):
+        return {z: _json_typed(v, float, f"w[{z!r}]") for z, v in raw.items()}
+    return _number_array(raw, "w")
 
 
 def save_market(spec: MarketSpec, path) -> None:
@@ -484,9 +513,9 @@ def load_market(path) -> MarketSpec:
     invariant is violated.
     """
     with _document(path) as data:
-        worker_types = [str(t) for t in data["worker_types"]]
-        slot_types = [str(t) for t in data["slot_types"]]
-        regions = [str(t) for t in data["regions"]]
+        worker_types = _identifiers(data["worker_types"], "worker_types")
+        slot_types = _identifiers(data["slot_types"], "slot_types")
+        regions = _identifiers(data["regions"], "regions")
         n = _mass_vector(data["n"], worker_types, "n")
         m = _mass_vector(data["m"], slot_types, "m")
         region_raw = data["region_of"]
@@ -501,11 +530,11 @@ def load_market(path) -> MarketSpec:
         for z, v in data.get("upper", {}).items():
             if z not in index:
                 raise SchemaViolationError(f"upper quota for unknown region {z!r}")
-            upper[index[z]] = float(v)
+            upper[index[z]] = _json_typed(v, float, f"upper[{z!r}]")
         for z, v in data.get("lower", {}).items():
             if z not in index:
                 raise SchemaViolationError(f"lower quota for unknown region {z!r}")
-            lower[index[z]] = float(v)
+            lower[index[z]] = _json_typed(v, float, f"lower[{z!r}]")
         spec = MarketSpec(worker_types, slot_types, regions, n, m, region_raw, upper, lower)
         report = validate_market(spec)
         if not report.ok:
@@ -522,7 +551,7 @@ def load_surplus(path, spec: MarketSpec) -> SurplusMatrix:
 def load_taxes(path, spec: MarketSpec) -> TaxScheme:
     """Load a tax file: JSON object with key `w` mapping region to tax."""
     with _document(path) as data:
-        return TaxScheme(as_tax_array(data["w"], spec))
+        return TaxScheme(as_tax_array(_tax_document(data["w"]), spec))
 
 
 def save_result(result: EquilibriumResult, path, spec: MarketSpec, welfare=None) -> None:
@@ -564,9 +593,9 @@ def save_result(result: EquilibriumResult, path, spec: MarketSpec, welfare=None)
 def _parse_matching(data: dict, spec: MarketSpec) -> Matching:
     mu_raw = data["mu"]
     matching = Matching(
-        np.asarray(mu_raw["matched"], dtype=np.float64),
-        np.asarray(mu_raw["unmatched_workers"], dtype=np.float64),
-        np.asarray(mu_raw["unmatched_slots"], dtype=np.float64),
+        _number_array(mu_raw["matched"], "mu.matched"),
+        _number_array(mu_raw["unmatched_workers"], "mu.unmatched_workers"),
+        _number_array(mu_raw["unmatched_slots"], "mu.unmatched_slots"),
     )
     if matching.matched.shape != (spec.num_workers, spec.num_slots):
         raise SchemaViolationError("matching shape does not match the market")
@@ -585,16 +614,15 @@ def load_result(path, spec: MarketSpec) -> EquilibriumResult:
     with _document(path) as data:
         matching = _parse_matching(data, spec)
         utilities = SystematicUtilities(
-            np.asarray(data["U"], dtype=np.float64),
-            np.asarray(data["V"], dtype=np.float64),
+            _number_array(data["U"], "U"), _number_array(data["V"], "V")
         )
-        taxes = TaxScheme(as_tax_array(data["w"], spec))
+        taxes = TaxScheme(as_tax_array(_tax_document(data["w"]), spec))
         diag_raw = data["diagnostics"]
         diag = Diagnostics(
-            dual_value=float(diag_raw["dual_value"]),
-            primal_value=float(diag_raw["primal_value"]),
-            duality_gap=float(diag_raw["duality_gap"]),
-            max_kkt_residual=float(diag_raw["max_kkt_residual"]),
+            dual_value=_json_typed(diag_raw["dual_value"], float, "dual_value"),
+            primal_value=_json_typed(diag_raw["primal_value"], float, "primal_value"),
+            duality_gap=_json_typed(diag_raw["duality_gap"], float, "duality_gap"),
+            max_kkt_residual=_json_typed(diag_raw["max_kkt_residual"], float, "max_kkt_residual"),
             inner_iterations=_json_typed(diag_raw["inner_iterations"], int, "inner_iterations"),
             outer_iterations=_json_typed(diag_raw["outer_iterations"], int, "outer_iterations"),
             converged=_json_typed(diag_raw["converged"], bool, "converged"),

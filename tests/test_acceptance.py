@@ -15,7 +15,13 @@ from oracles import central_difference
 from quotamatch.ae import solve_ae, solve_ae_grid
 from quotamatch.eae import InfeasibleQuotaError, solve_eae, verify_kkt
 from quotamatch.estimation import CovariateBasis, SurplusModel, estimate, surplus_from_covariates
-from quotamatch.experiments import JrmpConfig, gen_scaling_market, run_lower_bound_sweep
+from quotamatch.experiments import (
+    FLOOR_REGIONS,
+    URBAN_REGION,
+    JrmpConfig,
+    gen_scaling_market,
+    run_lower_bound_sweep,
+)
 from quotamatch.logit import g_gradient, g_value, h_gradient, h_value, matching_value
 from quotamatch.market import MarketSpec, region_masses
 
@@ -148,7 +154,7 @@ def test_criterion_06_welfare_optimality_grid():
 
 def test_criterion_07_policy_ordering_sweep(full_sweep):
     with criterion(7, "policy welfare ordering, tax signs, and floor tightness over 30 seeds x 7 floors"):
-        cfg, panel = full_sweep
+        _, panel = full_sweep
         cells = {}
         for r in panel.records:
             cells.setdefault((r.floor, r.seed), {})[r.policy] = r
@@ -165,11 +171,11 @@ def test_criterion_07_policy_ordering_sweep(full_sweep):
                 )
                 compared += 1
             eae = cell["eae"]
-            assert eae.taxes[cfg.urban_region] == 0.0
-            assert all(eae.taxes[z] <= 0.0 for z in cfg.floor_regions)
+            assert eae.taxes[URBAN_REGION] == 0.0
+            assert all(eae.taxes[z] <= 0.0 for z in FLOOR_REGIONS)
             assert eae.pm_surplus <= 1e-9  # subsidies only
             assert sum(eae.rural_mass.values()) >= 2 * floor - 1e-7
-            for z in cfg.floor_regions:
+            for z in FLOOR_REGIONS:
                 if eae.taxes[z] < -1e-7:
                     assert abs(eae.rural_mass[z] - floor) <= 1e-6
             if "eae_upper_bound" in cell and cell["eae_upper_bound"].feasible:

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from oracles import descent_matching_at_taxes, quadratic_single_pair
 from conftest import random_market
+from quotamatch import ae
 from quotamatch.ae import (
     FixedPoint,
-    IpfpConfig,
     KernelRangeError,
     build_kernel,
     solve_ae,
@@ -72,9 +72,10 @@ class TestSolveAe:
             oracle = descent_matching_at_taxes(spec, phi.phi, w)
             assert np.abs(result.matching.matched - oracle.matched).max() < 1e-7, seed
 
-    def test_population_constraints_hold(self, example_market):
+    def test_population_constraints_hold(self, example_market, monkeypatch):
         spec, phi = example_market
-        result = solve_ae(spec, phi, cfg=IpfpConfig(population_tolerance=1e-12))
+        monkeypatch.setattr(ae, "POPULATION_TOLERANCE", 1e-12)
+        result = solve_ae(spec, phi)
         assert result.matching.population_residual(spec) <= 1e-12
 
     def test_binding_holds_with_taxes(self, example_market):
@@ -102,9 +103,11 @@ class TestSolveAe:
                 taxed = region_masses(solve_ae(spec, phi, w).matching, spec)
                 assert taxed[zi] <= base[zi] + 1e-9
 
-    def test_nonconvergence_is_flagged_not_raised(self, example_market):
+    def test_nonconvergence_is_flagged_not_raised(self, example_market, monkeypatch):
         spec, phi = example_market
-        result = solve_ae(spec, phi, cfg=IpfpConfig(population_tolerance=1e-10, max_iterations=2))
+        monkeypatch.setattr(ae, "POPULATION_TOLERANCE", 1e-10)
+        monkeypatch.setattr(ae, "MAX_ITERATIONS", 2)
+        result = solve_ae(spec, phi)
         assert not result.diagnostics.converged
 
     def test_warm_start_agrees_with_cold(self, example_market):
@@ -152,16 +155,16 @@ class TestGridSolve:
             solve_ae_grid(spec, phi, np.array([[0.0, 0.0], [np.nan, 0.0]]))
 
     @pytest.mark.parametrize("excess, rejected", [(2e-6, True), (-2e-6, False)])
-    def test_range_limit_matches_build_kernel(self, single_pair, excess, rejected):
+    def test_range_limit_matches_build_kernel(self, single_pair, excess, rejected, monkeypatch):
         # The grid's largest exponent 0.5 * (phi - w) sits just above or below
         # 700 at its second point only.
         phi = np.zeros((1, 1))
         grid = np.array([[0.0], [-2.0 * (700.0 + excess)]])
         assert bool(0.5 * (phi[0, 0] - grid[1, 0]) > 700.0) == rejected
-        one_sweep = IpfpConfig(max_iterations=1)
+        monkeypatch.setattr(ae, "MAX_ITERATIONS", 1)
         for solve in (
             lambda: build_kernel(phi, grid[1], single_pair),
-            lambda: solve_ae_grid(single_pair, phi, grid, one_sweep),
+            lambda: solve_ae_grid(single_pair, phi, grid),
         ):
             if rejected:
                 with pytest.raises(KernelRangeError):
@@ -308,5 +311,5 @@ class TestExtremeMarkets:
         result = solve_ae(spec, phi)
         oracle = descent_matching_at_taxes(spec, phi, np.zeros(1))
         assert result.diagnostics.converged
-        bound = 1e-6 * max(spec.n.max(), spec.m.max()) + 10.0 * IpfpConfig().population_tolerance
+        bound = 1e-6 * max(spec.n.max(), spec.m.max()) + 10.0 * ae.POPULATION_TOLERANCE
         assert np.abs(result.matching.matched - oracle.matched).max() <= bound

@@ -1,4 +1,3 @@
-import functools
 import json
 import subprocess
 import sys
@@ -151,10 +150,9 @@ def test_estimate_optimal_fit_of_noisy_data_exits_zero(tmp_path):
 
 
 def test_estimate_budget_exhausted_exits_two(tmp_path, monkeypatch):
-    import quotamatch.cli as cli
+    import quotamatch.estimation as estimation
 
-    small_budget = functools.partial(cli.EstimationConfig, max_outer_evals=3)
-    monkeypatch.setattr(cli, "EstimationConfig", small_budget)
+    monkeypatch.setattr(estimation, "MAX_OUTER_EVALS", 3)
     spec, c, taxes, observed, _ = estimation_market(np.random.default_rng(4), 4, 6, 2, 2)
     code = main(_estimate_args(tmp_path, spec, c, observed, taxes))
     assert code == 2
@@ -393,11 +391,12 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         ["experiment", "--seeds", "1", "--floors", "0:1:1e-9"],
         ["experiment", "--seeds", "1", "--floors=-1e308:1e308:1"],
         ["bench", "--worker-types", "4", "--regions", "1:inf:1", "--trials", "1"],
+        ["bench", "--worker-types", "4", "--regions", "2:3:0.5", "--trials", "1"],
     ],
     ids=[
         "experiment-zero-step", "bench-zero-step", "experiment-descending",
         "experiment-infinite-hi", "experiment-nan-item", "experiment-too-many-points",
-        "experiment-span-overflows", "bench-infinite-hi",
+        "experiment-span-overflows", "bench-infinite-hi", "bench-fractional-count",
     ],
 )
 def test_bad_range_exits_one(tmp_path, capsys, argv):
@@ -409,22 +408,59 @@ def test_bad_range_exits_one(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "flags, message",
+    "flags, message, reason",
     [
-        (["--floors", "0:inf:1"], "error: range"),
-        (["--floors", "0.2", "--tax-grid", "0,nan"], "--tax-grid"),
-        (["--floors", "0.2", "--grid", "0.1:0.5:1e-9"], "--grid"),
+        (["--floors", "0:inf:1"], "error: range", "non-finite"),
+        (["--floors", "0.2", "--tax-grid", "0,nan"], "--tax-grid", "non-finite"),
+        (["--floors", "0.2", "--grid", "0.1:0.5:1e-9"], "--grid", "more than 1000000 points"),
     ],
     ids=["floors-infinite-hi", "tax-grid-nan", "grid-too-many-points"],
 )
-def test_counterfactual_bad_range_exits_one(example_files, tmp_path, capsys, flags, message):
+def test_counterfactual_bad_range_exits_one(example_files, tmp_path, capsys, flags, message, reason):
     _, market, surplus = example_files
     out = tmp_path / "out.csv"
     argv = ["counterfactual", "--market", str(market), "--phi", str(surplus), "--out", str(out)]
     assert main(argv + flags) == 1
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+    assert err.startswith("error: range") and reason in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("role", ["verify-market", "solve-ae-out"])
+def test_directory_path_exits_one(example_files, tmp_path, capsys, role):
+    _, market, surplus = example_files
+    directory = tmp_path / "dir"
+    directory.mkdir()
+    argv = {
+        "verify-market": ["verify", "--market", str(directory), "--result", str(tmp_path / "r.json")],
+        "solve-ae-out": [
+            "solve-ae", "--market", str(market), "--phi", str(surplus), "--out", str(directory)
+        ],
+    }[role]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(directory) in err and "Traceback" not in err
+
+
+def test_result_files_echo_the_tolerances_that_certified_them(example_files, tmp_path):
+    # The solver tolerances are fixed; loosening one must edit this test.
+    import quotamatch.ae as ae
+    import quotamatch.eae as eae
+
+    assert (ae.POPULATION_TOLERANCE, eae.TAX_TOLERANCE, eae.CONSTRAINT_TOLERANCE) == (1e-10, 1e-8, 1e-8)
+    _, market, surplus = example_files
+    echoed = {}
+    for command in ("solve-ae", "solve-eae"):
+        out = tmp_path / f"{command}.json"
+        assert main([command, "--market", str(market), "--phi", str(surplus), "--out", str(out)]) == 0
+        echoed[command] = json.loads(out.read_text())["diagnostics"]["tolerances"]
+    assert echoed["solve-ae"] == {"population_tolerance": ae.POPULATION_TOLERANCE}
+    assert echoed["solve-eae"] == {
+        "population_tolerance": ae.POPULATION_TOLERANCE,
+        "tax_tolerance": eae.TAX_TOLERANCE,
+        "constraint_tolerance": eae.CONSTRAINT_TOLERANCE,
+    }
 
 
 @pytest.mark.parametrize(
@@ -519,7 +555,7 @@ def test_help_mentions_every_documented_flag():
     blob = "\n".join(txt)
     for flag in (
         "--market", "--phi", "--taxes", "--observed", "--covariates", "--out",
-        "--seed", "--jobs", "--tol-pop", "--tol-tax", "--tol-kkt", "--floors", "--grid",
+        "--seed", "--jobs", "--tol-kkt", "--floors", "--grid",
     ):
         assert flag in blob, flag
 

@@ -5,9 +5,9 @@ import pytest
 
 from conftest import random_constrained_market, random_market
 from oracles import descent_taxes_under_quotas
-from quotamatch.ae import FixedPoint, IpfpConfig, solve_ae, solve_ae_grid
+from quotamatch import ae, eae
+from quotamatch.ae import FixedPoint, solve_ae, solve_ae_grid
 from quotamatch.eae import (
-    EaeConfig,
     InfeasibleQuotaError,
     dual_value,
     solve_eae,
@@ -115,19 +115,20 @@ class TestTaxSearch:
         assert result.taxes.w[1] > 0.0
         assert verify_kkt(result, capped, phi, tol=1e-6).passed
 
-    def test_mass_jacobian_matches_central_differences(self):
-        tight = IpfpConfig(population_tolerance=1e-13, max_iterations=100_000)
+    def test_mass_jacobian_matches_central_differences(self, monkeypatch):
+        monkeypatch.setattr(ae, "POPULATION_TOLERANCE", 1e-13)
+        monkeypatch.setattr(ae, "MAX_ITERATIONS", 100_000)
         h = 1e-4
         for seed in range(4):
             rng = np.random.default_rng(seed)
             spec, phi = random_market(rng)
             w = rng.uniform(-1.0, 1.0, size=spec.num_regions)
-            jacobian = FixedPoint(spec, tight).solve(phi, w).mass_jacobian()
+            jacobian = FixedPoint(spec).solve(phi, w).mass_jacobian()
             numeric = np.empty_like(jacobian)
             for zi in range(spec.num_regions):
                 step = h * np.eye(spec.num_regions)[zi]
-                hi = region_masses(solve_ae(spec, phi, w + step, tight).matching, spec)
-                lo = region_masses(solve_ae(spec, phi, w - step, tight).matching, spec)
+                hi = region_masses(solve_ae(spec, phi, w + step).matching, spec)
+                lo = region_masses(solve_ae(spec, phi, w - step).matching, spec)
                 numeric[:, zi] = (hi - lo) / (2.0 * h)
             assert np.abs(jacobian - numeric).max() < 1e-6, seed
 
@@ -263,12 +264,13 @@ class TestConicOracle:
 
 
 class TestInfeasibility:
-    def test_unreachable_floor_raises(self, single_pair):
+    def test_unreachable_floor_raises(self, single_pair, monkeypatch):
         # Slot mass is 1.0 but the floor demands 0.999 of the unit worker
         # mass; the required subsidy exceeds the admissible bracket.
         spec = single_pair.with_quotas(lower={"z": 0.9999})
+        monkeypatch.setattr(eae, "BRACKET_LIMIT", 16.0)
         with pytest.raises(InfeasibleQuotaError):
-            solve_eae(spec, np.zeros((1, 1)), EaeConfig(bracket_limit=16.0))
+            solve_eae(spec, np.zeros((1, 1)))
 
     def test_validation_failure_raises_value_error(self, single_pair):
         spec = single_pair.with_quotas(upper={"z": 0.2}, lower={"z": 0.5})

@@ -1,20 +1,23 @@
+import re
+
 import numpy as np
 import pytest
 
 from conftest import estimation_market
+from quotamatch import estimation
 from quotamatch.ae import FixedPoint, solve_ae
 from quotamatch.estimation import (
     CovariateBasis,
-    EstimationConfig,
     SurplusModel,
     _kl_gradient,
     _pair_vector,
     estimate,
     kl_divergence,
+    load_covariates,
     log_likelihood,
     surplus_from_covariates,
 )
-from quotamatch.market import MarketSpec, Matching
+from quotamatch.market import MarketSpec, Matching, SchemaViolationError, _write_json
 
 
 @pytest.fixture(scope="module")
@@ -171,10 +174,10 @@ class TestEstimate:
         trace = np.array(report.kl_trace)
         assert np.all(np.diff(trace) <= 0.0)
 
-    def test_fd_bfgs_variant_recovers(self, synthetic):
+    def test_fd_bfgs_variant_recovers(self, synthetic, monkeypatch):
         spec, c, truth, w, observed = synthetic
-        cfg = EstimationConfig(kl_tolerance=1e-12)
-        model, report = estimate(observed, c, w, spec, cfg)
+        monkeypatch.setattr(estimation, "KL_TOLERANCE", 1e-12)
+        model, report = estimate(observed, c, w, spec)
         assert np.abs(model.coefficients - truth.coefficients).max() < 1e-3
         assert report.final_kl <= 1e-12
 
@@ -203,9 +206,10 @@ class TestEstimate:
         sim_truth = solve_ae(spec, surplus_from_covariates(SurplusModel(truth), c), w).matching
         assert report.final_kl <= kl_divergence(noisy, sim_truth)
 
-    def test_budget_exhausted_is_not_converged(self, synthetic):
+    def test_budget_exhausted_is_not_converged(self, synthetic, monkeypatch):
         spec, c, _, w, observed = synthetic
-        _, report = estimate(observed, c, w, spec, EstimationConfig(max_outer_evals=3))
+        monkeypatch.setattr(estimation, "MAX_OUTER_EVALS", 3)
+        _, report = estimate(observed, c, w, spec)
         assert not report.converged
         assert report.message == "evaluation budget exhausted"
         assert report.n_evals == 3
@@ -216,3 +220,14 @@ class TestEstimate:
         broken = Matching(np.array([[0.2, 0.0], [0.1, 0.1]]), np.full(2, 0.1), np.full(2, 0.1))
         with pytest.raises(ValueError, match="strictly positive"):
             estimate(broken, c, w, spec)
+
+
+class TestLoadCovariates:
+    @pytest.mark.parametrize("count", [1.7, True, "1"], ids=["float", "bool", "string"])
+    def test_count_must_be_a_json_integer(self, synthetic, tmp_path, count):
+        # int() would read each of these as 1, the true count of this file.
+        spec, _, _, _, _ = synthetic
+        path = tmp_path / "covariates.json"
+        _write_json({"S": count, "c": np.ones((2, 2, 1)).tolist()}, path)
+        with pytest.raises(SchemaViolationError, match=re.escape(str(path))):
+            load_covariates(path, spec)

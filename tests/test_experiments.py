@@ -7,6 +7,8 @@ from quotamatch.eae import verify_kkt
 from quotamatch.experiments import (
     BB_SUBSIDY_AXIS,
     BB_TAX_AXIS,
+    FLOOR_REGIONS,
+    URBAN_REGION,
     JrmpConfig,
     ScalingConfig,
     bench_eae,
@@ -130,20 +132,20 @@ class TestSweep:
                     assert all(v == 0.0 for v in r.taxes.values())
 
     def test_eae_uses_rural_subsidies_only(self, small_sweep):
-        cfg, panel = small_sweep
+        _, panel = small_sweep
         for r in panel.records:
             if r.policy == "eae":
-                assert r.taxes[cfg.urban_region] == 0.0
-                assert all(r.taxes[z] <= 0.0 for z in cfg.floor_regions)
+                assert r.taxes[URBAN_REGION] == 0.0
+                assert all(r.taxes[z] <= 0.0 for z in FLOOR_REGIONS)
 
     def test_eae_rural_mass_meets_floor_and_binds_when_subsidized(self, small_sweep):
-        cfg, panel = small_sweep
+        _, panel = small_sweep
         for r in panel.records:
             if r.policy != "eae" or r.floor == 0.0:
                 continue
             total = sum(r.rural_mass.values())
             assert total >= 2 * r.floor - 1e-7
-            for z in cfg.floor_regions:
+            for z in FLOOR_REGIONS:
                 if r.taxes[z] < -1e-7:
                     assert r.rural_mass[z] == pytest.approx(r.floor, abs=1e-7)
 

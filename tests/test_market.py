@@ -17,6 +17,8 @@ from quotamatch.market import (
     _write_json,
     load_market,
     load_result,
+    load_surplus,
+    load_taxes,
     region_masses,
     save_market,
     save_result,
@@ -257,6 +259,29 @@ MALFORMED = {
     "result-iterations-float": ("result", lambda doc: doc["diagnostics"].update(inner_iterations=2.7)),
     "result-iterations-bool": ("result", lambda doc: doc["diagnostics"].update(outer_iterations=True)),
     "covariates-s-null": ("covariates", lambda doc: doc.update(S=None)),
+    # Each case below loaded before the readers checked JSON types, by
+    # conversion: str() of any identifier, float() of true or "0.5", and a
+    # float64 np.asarray of strings or booleans.
+    "market-worker-types-string": (
+        "market", lambda doc: doc.update(worker_types="xy", n={"x": 0.5, "y": 0.5})
+    ),
+    "market-worker-types-ints": (
+        "market", lambda doc: doc.update(worker_types=[1, 2], n={"1": 0.5, "2": 0.5})
+    ),
+    "market-n-true": ("market", lambda doc: doc["n"].update(x1=True)),
+    "market-m-string": ("market", lambda doc: doc["m"].update(y1="0.3")),
+    "market-upper-true": ("market", lambda doc: doc["upper"].update(z1=True)),
+    "market-lower-string": ("market", lambda doc: doc["lower"].update(z1="0.1")),
+    "result-w-true": ("result", lambda doc: doc["w"].update(z1=True)),
+    "result-gap-string": ("result", lambda doc: doc["diagnostics"].update(duality_gap="0.0")),
+    "result-matched-string": ("result", lambda doc: doc["mu"]["matched"][0].__setitem__(0, "0.1")),
+    "result-u-bool": ("result", lambda doc: doc.update(U=[[True] * 3] * 2)),
+    "result-v-string": ("result", lambda doc: doc.update(V=[["0.5"] * 3] * 2)),
+    "surplus-string": ("surplus", lambda doc: doc.update(phi=[["1.5"] * 3] * 2)),
+    "surplus-bool": ("surplus", lambda doc: doc.update(phi=[[True] * 3] * 2)),
+    "taxes-true": ("taxes", lambda doc: doc["w"].update(z1=True)),
+    "taxes-string": ("taxes", lambda doc: doc["w"].update(z1="0.5")),
+    "covariates-c-string": ("covariates", lambda doc: doc.update(c=[[["1"]] * 3] * 2)),
 }
 
 
@@ -268,6 +293,10 @@ def test_malformed_document_is_a_schema_violation_naming_the_file(tmp_path, kind
         save_market(spec, path)
     elif kind == "result":
         save_result(solve_ae(spec, SurplusMatrix(np.zeros((2, 3)))), path, spec)
+    elif kind == "surplus":
+        _write_json({"phi": np.zeros((2, 3)).tolist()}, path)
+    elif kind == "taxes":
+        _write_json({"w": {"z1": 0.0, "z2": 0.0}}, path)
     else:
         _write_json({"S": 1, "c": np.ones((2, 3, 1)).tolist()}, path)
     doc = json.loads(path.read_text())
@@ -276,6 +305,8 @@ def test_malformed_document_is_a_schema_violation_naming_the_file(tmp_path, kind
     load = {
         "market": load_market,
         "result": lambda p: load_result(p, spec),
+        "surplus": lambda p: load_surplus(p, spec),
+        "taxes": lambda p: load_taxes(p, spec),
         "covariates": lambda p: load_covariates(p, spec),
     }[kind]
     with pytest.raises(SchemaViolationError, match=re.escape(str(path))):
