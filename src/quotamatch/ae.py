@@ -29,6 +29,9 @@ A solve is converged once its worst absolute population residual is at most
 
 from __future__ import annotations
 
+import contextvars
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -73,6 +76,9 @@ _ROUNDING = 1e-12
 #: about half the digits of the Newton step (the square root of the double
 #: precision epsilon)
 _RESOLVED = 1.5e-8
+#: rows of a tax grid solved together; fixed, so that a grid's results do
+#: not depend on how many threads solve its blocks
+_GRID_BLOCK = 1536
 
 
 class KernelRangeError(ValueError):
@@ -357,8 +363,9 @@ def solve_ae(spec: MarketSpec, phi, taxes=None) -> EquilibriumResult:
 class GridSolution:
     """Batched tax-fixed equilibria over a grid of tax vectors, priced.
 
-    Arrays are stacked along the grid dimension. ``iterations`` is the shared
-    sweep count at which the slowest grid point met the tolerance. Each
+    Arrays are stacked along the grid dimension. The grid is solved in
+    blocks of rows (:func:`solve_ae_grid`): ``iterations`` is the sweep count
+    of the slowest block and ``residual`` the worst block's residual. Each
     point's floor-independent prices come with the solve: ``revenue`` is
     sum mu*w and ``social_welfare`` :func:`~quotamatch.logit.matching_value`
     at phi.
@@ -382,10 +389,14 @@ class GridSolution:
 def solve_ae_grid(spec: MarketSpec, phi, tax_grid) -> GridSolution:
     """Solve and price the tax-fixed equilibrium at every tax vector of a grid.
 
-    Grid points are independent, so they are advanced in lockstep with the
-    iteration stopping when the worst residual across the grid meets the
-    tolerance; each point agrees with its separate solve to the population
-    tolerance. Every kernel factors as ``base * scale_g`` with
+    Grid points are independent. The rows are split into blocks of
+    ``_GRID_BLOCK``; the points of a block are advanced in lockstep, its
+    iteration stopping when the worst residual across the block meets the
+    tolerance, and each point agrees with its separate solve to the
+    population tolerance. The blocks run on a pool of threads, one per usable
+    CPU at most (numpy releases the interpreter lock in their array work);
+    the block size is fixed, so the results do not depend on the number of
+    threads. Every kernel factors as ``base * scale_g`` with
     ``base = exp((phi - top) / 2) <= 1`` (``top`` the column maxima of phi)
     and ``scale_g = exp((top - w_g) / 2)``, so one ``base`` serves the whole
     grid; the exponent of ``scale_g`` is the largest of the point's kernel,
@@ -404,22 +415,41 @@ def solve_ae_grid(spec: MarketSpec, phi, tax_grid) -> GridSolution:
         raise KernelRangeError("kernel exponent out of range somewhere on the tax grid")
     base = np.exp(0.5 * (phi_arr - top[None, :]))
     scale = np.exp(exponent)
-    a, b, iterations, residual = _ipfp(spec.n, spec.m, base, scale=scale)
-    matched = a[:, :, None] * base[None, :, :] * (b * scale)[:, None, :]
-    mu = SimpleNamespace(matched=matched, unmatched_workers=a * a, unmatched_slots=b * b)
-    per_slot = matched.sum(axis=1)
-    masses = np.zeros((grid.shape[0], spec.num_regions))
-    for zi, cols in enumerate(spec.region_slot_indices):
-        masses[:, zi] = per_slot[:, cols].sum(axis=1)
+    region_slots = spec.region_slot_indices  # a cached property: filled before the threads start
+
+    def solve_block(rows):
+        a, b, iterations, residual = _ipfp(spec.n, spec.m, base, scale=scale[rows])
+        matched = a[:, :, None] * base[None, :, :] * (b * scale[rows])[:, None, :]
+        mu = SimpleNamespace(matched=matched, unmatched_workers=a * a, unmatched_slots=b * b)
+        per_slot = matched.sum(axis=1)
+        masses = np.stack([per_slot[:, cols].sum(axis=1) for cols in region_slots], axis=1)
+        revenue = (matched * w_slot[rows, None, :]).sum(axis=(1, 2))
+        return mu, masses, revenue, matching_value(mu, phi_arr, spec), iterations, residual
+
+    blocks = [slice(start, start + _GRID_BLOCK) for start in range(0, grid.shape[0], _GRID_BLOCK)]
+    with ThreadPoolExecutor(min(len(blocks), _usable_cpus())) as pool:
+        # numpy's floating-point error state is a context variable: each block
+        # runs in a copy of the caller's context so that it applies there too.
+        futures = [pool.submit(contextvars.copy_context().run, solve_block, rows) for rows in blocks]
+        parts = [future.result() for future in futures]
+    mus, masses, revenue, welfare, iterations, residuals = zip(*parts)
+    residual = max(residuals)
     return GridSolution(
         taxes=grid,
-        matched=matched,
-        unmatched_workers=mu.unmatched_workers,
-        unmatched_slots=mu.unmatched_slots,
-        region_mass=masses,
-        revenue=(matched * w_slot[:, None, :]).sum(axis=(1, 2)),
-        social_welfare=matching_value(mu, phi_arr, spec),
-        iterations=iterations,
+        matched=np.concatenate([mu.matched for mu in mus]),
+        unmatched_workers=np.concatenate([mu.unmatched_workers for mu in mus]),
+        unmatched_slots=np.concatenate([mu.unmatched_slots for mu in mus]),
+        region_mass=np.concatenate(masses),
+        revenue=np.concatenate(revenue),
+        social_welfare=np.concatenate(welfare),
+        iterations=max(iterations),
         residual=residual,
         converged=residual <= POPULATION_TOLERANCE,
     )
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1

@@ -8,7 +8,10 @@ policies. Aggregates are emitted as plot-ready CSV panels.
 
 Replications and floor levels are independent; the harness output is a pure
 function of the configuration, so parallel execution (see the CLI's jobs
-flag) produces byte-identical files.
+flag) produces byte-identical files. Within a replication, the budget-balance
+grid is solved in blocks of a fixed size on up to one thread per usable CPU
+(:func:`~quotamatch.ae.solve_ae_grid`), so the files are also the same on
+any number of CPUs. Each of the jobs' processes starts its own threads.
 """
 
 from __future__ import annotations

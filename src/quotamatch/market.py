@@ -626,6 +626,17 @@ def load_result(path, spec: MarketSpec) -> EquilibriumResult:
             inner_iterations=_json_typed(diag_raw["inner_iterations"], int, "inner_iterations"),
             outer_iterations=_json_typed(diag_raw["outer_iterations"], int, "outer_iterations"),
             converged=_json_typed(diag_raw["converged"], bool, "converged"),
-            tolerances=diag_raw.get("tolerances"),
+            tolerances=_tolerances(diag_raw),
         )
         return EquilibriumResult(matching, utilities, taxes, diag)
+
+
+def _tolerances(diag_raw: dict) -> dict | None:
+    """The optional ``tolerances`` object of a result's diagnostics: JSON
+    numbers by name."""
+    if "tolerances" not in diag_raw:
+        return None
+    raw = diag_raw["tolerances"]
+    if not isinstance(raw, dict):
+        raise ValueError("diagnostics.tolerances must be a JSON object")
+    return {name: _json_typed(value, float, f"diagnostics.tolerances.{name}") for name, value in raw.items()}

@@ -211,6 +211,72 @@ class TestGridSolve:
         assert np.abs(batch.unmatched_workers[0] - single.matching.unmatched_workers).max() < 1e-12
         assert np.abs(batch.unmatched_slots[0] - single.matching.unmatched_slots).max() < 1e-12
 
+    @pytest.mark.parametrize("capped", [False, True])
+    def test_blocks_join_at_their_seams(self, example_market, capped, monkeypatch):
+        # Blocks of four rows: 0-3, 4-7 and 8-10. The near-saturated middle
+        # block needs the most sweeps; capped at 20 it alone does not converge.
+        spec, phi = example_market
+        grid = np.column_stack([np.linspace(-1.0, 2.0, 11), np.linspace(0.5, -0.5, 11)])
+        grid[4:8] = [[-20.0, -20.0], [-30.0, 5.0], [-40.0, -40.0], [-25.0, -35.0]]
+        monkeypatch.setattr(ae, "_GRID_BLOCK", 4)
+        if capped:
+            monkeypatch.setattr(ae, "MAX_ITERATIONS", 20)
+        batch = solve_ae_grid(spec, phi, grid)
+        blocks = [solve_ae_grid(spec, phi, grid[rows]) for rows in (slice(0, 4), slice(4, 8), slice(8, 11))]
+        assert len({block.iterations for block in blocks}) == 3
+        assert batch.iterations == max(block.iterations for block in blocks)
+        assert batch.residual == max(block.residual for block in blocks)
+        assert batch.converged == all(block.converged for block in blocks)
+        assert batch.converged != capped
+        assert np.array_equal(batch.region_mass, np.concatenate([block.region_mass for block in blocks]))
+        for g in () if capped else (3, 4, 7, 8):
+            masses = region_masses(solve_ae(spec, phi, grid[g]).matching, spec)
+            assert np.abs(batch.region_mass[g] - masses).max() < 1e-9
+
+    def test_worker_count_changes_nothing(self, example_market, monkeypatch):
+        spec, phi = example_market
+        grid = np.column_stack([np.linspace(-3.0, 3.0, 17), np.linspace(1.0, -1.0, 17)])
+        monkeypatch.setattr(ae, "_GRID_BLOCK", 4)
+        workers = []
+
+        class RecordingPool(ae.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(ae, "ThreadPoolExecutor", RecordingPool)
+        solutions = []
+        for cpus in ({0}, {0, 1, 2, 3}):
+            monkeypatch.setattr(ae.os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
+            solutions.append(solve_ae_grid(spec, phi, grid))
+        # Without an affinity mask the CPU count is used.
+        monkeypatch.delattr(ae.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(ae.os, "cpu_count", lambda: 3)
+        solutions.append(solve_ae_grid(spec, phi, grid))
+        assert workers == [1, 4, 3]
+        first = solutions[0]
+        for other in solutions[1:]:
+            for name, value in vars(first).items():
+                if isinstance(value, np.ndarray):
+                    assert np.array_equal(value, getattr(other, name)), name
+                else:
+                    assert value == getattr(other, name), name
+
+    def test_blocks_run_under_the_callers_error_state(self, example_market, monkeypatch):
+        spec, phi = example_market
+        ipfp = ae._ipfp
+
+        def overflowing_ipfp(*args, **kwargs):
+            np.float64(1e308) * 10.0
+            return ipfp(*args, **kwargs)
+
+        monkeypatch.setattr(ae, "_ipfp", overflowing_ipfp)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            solve_ae_grid(spec, phi, np.zeros((3, 2)))
+        with np.errstate(over="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert solve_ae_grid(spec, phi, np.zeros((3, 2))).converged
+
 
 def one_region_market(n, m, phi):
     n, m = np.asarray(n, dtype=np.float64), np.asarray(m, dtype=np.float64)

@@ -520,6 +520,29 @@ def test_verify_rejects_nan_in_result_file(example_files, tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {out}: non-finite number NaN")
 
 
+@pytest.mark.parametrize(
+    "tolerances, message",
+    [
+        ("loose", "diagnostics.tolerances must be a JSON object"),
+        (None, "diagnostics.tolerances must be a JSON object"),
+        ({"population_tolerance": True}, "diagnostics.tolerances.population_tolerance must be a JSON number"),
+        ({"population_tolerance": "1e-10"}, "diagnostics.tolerances.population_tolerance must be a JSON number"),
+    ],
+    ids=["string", "null", "boolean", "numeric-string"],
+)
+def test_verify_rejects_malformed_tolerances(example_files, tmp_path, capsys, tolerances, message):
+    _, market, surplus = example_files
+    out = tmp_path / "result.json"
+    assert main(["solve-eae", "--market", str(market), "--phi", str(surplus), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    doc["diagnostics"]["tolerances"] = tolerances
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main(["verify", "--market", str(market), "--result", str(out), "--phi", str(surplus)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {out}: {message}")
+
+
 def test_out_of_range_surplus_exits_one(tmp_path, single_pair, capsys):
     market = tmp_path / "market.json"
     save_market(single_pair, market)
