@@ -2,27 +2,26 @@
 
 With the taxes ``w`` fixed, the equilibrium value ``W(w) = G(U) + H(V)`` of
 :mod:`quotamatch.ae` is convex in ``w`` with ``dW/dw_z = -mass_z`` (Galichon &
-Salanie, *Cupid's Invisible Hand*, ReStud 2022). Writing ``w = p - q`` with
-ceiling and floor parts ``p, q >= 0``, tax design is the bounded convex program
+Salanie, *Cupid's Invisible Hand*, ReStud 2022). Tax design is the bounded
+convex program
 
-    min  W(p - q) + upper . p - lower . q   over  p, q in [0, BRACKET_LIMIT],
+    min  W(w) + sum_z max(upper_z w_z, lower_z w_z)   over  |w_z| <= BRACKET_LIMIT,
 
-with ``p_z`` held at zero where the ceiling is infinite and ``q_z`` where the
+with ``w_z <= 0`` where the ceiling is infinite and ``w_z >= 0`` where the
 floor is zero. At its optimum a region whose mass lies inside its quota
 interval is untaxed, a taxed region has its mass exactly on its ceiling, and a
 subsidized region has its mass exactly on its floor.
 
-L-BFGS-B over (p, q) finds the binding regions, one warm-started solve of a
-:class:`~quotamatch.ae.FixedPoint` per evaluation. The fixed point's tolerance
-leaves noise in ``W`` that stalls L-BFGS-B short of the constraint tolerance,
-so a Newton polish with the exact Jacobian of region mass in the taxes
-(:meth:`~quotamatch.ae.FixedPoint.mass_jacobian`) then puts every binding
-region on its bound.
+One projected Newton search on ``w`` (Bertsekas, *SIAM J. Control Optim.*
+1982) solves it, with the exact Jacobian of region mass in the taxes
+(:meth:`~quotamatch.ae.FixedPoint.mass_jacobian`) and one warm-started solve
+of a :class:`~quotamatch.ae.FixedPoint` per trial step;
+``Diagnostics.outer_iterations`` counts its steps.
 
-The polish stops at a tax step of ``TAX_TOLERANCE`` (1e-8); the search's
-gradient and the certified KKT residuals are within ``CONSTRAINT_TOLERANCE``
-(1e-8); every tax and subsidy is within ``BRACKET_LIMIT`` (64), and a quota
-still violated there is infeasible.
+The search stops at a tax step of ``TAX_TOLERANCE`` (1e-8) with every binding
+region within half of ``CONSTRAINT_TOLERANCE`` (1e-8) of its bound, the
+tolerance at which the result is certified; every tax and subsidy is within
+``BRACKET_LIMIT`` (64), and a quota still violated there is infeasible.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize
 
 from . import ae
 from .logit import g_gradient, g_value, h_gradient, h_value, matching_value
@@ -54,16 +52,14 @@ __all__ = [
     "dual_value",
 ]
 
-#: Newton step in the taxes at which the polish stops
+#: Newton step in the taxes at which the search stops
 TAX_TOLERANCE = 1e-8
-#: gradient tolerance of the search and certification tolerance of the result
+#: quota gap of the search and certification tolerance of the result
 CONSTRAINT_TOLERANCE = 1e-8
 #: largest tax or subsidy the search may set
 BRACKET_LIMIT = 64.0
-#: iteration cap of the L-BFGS-B search; it stops far earlier, on stalling
-_LBFGS_ITERATIONS = 1000
-#: cap on the Newton polish; it needs a few steps once the binding set is known
-_POLISH_STEPS = 20
+#: cap on the steps of the search; far starts take about 15
+_NEWTON_STEPS = 100
 
 
 class InfeasibleQuotaError(RuntimeError):
@@ -104,70 +100,74 @@ def solve_eae(spec: MarketSpec, phi, initial_taxes=None) -> EquilibriumResult:
         raise ValueError(f"market is not admissible: {report}")
     phi_arr = as_surplus_array(phi, spec)
     fp = ae.FixedPoint(spec)
-    L = spec.num_regions
     upper = np.where(np.isfinite(spec.upper), spec.upper, 0.0)
+    ceiling_limit = np.isfinite(spec.upper) * BRACKET_LIMIT
+    floor_limit = (spec.lower > 0.0) * BRACKET_LIMIT
 
-    def objective(x):
-        masses = fp.solve(phi_arr, x[:L] - x[L:]).region_masses()
-        value = fp.value() + upper @ x[:L] - spec.lower @ x[L:]
-        return value, np.concatenate([upper - masses, masses - spec.lower])
-
-    hi = np.concatenate([np.isfinite(spec.upper), spec.lower > 0.0]) * BRACKET_LIMIT
-    w0 = as_tax_array(initial_taxes, spec)
-    x0 = np.clip(np.concatenate([np.maximum(w0, 0.0), np.maximum(-w0, 0.0)]), 0.0, hi)
-    search = optimize.minimize(
-        objective,
-        x0,
-        jac=True,
-        method="L-BFGS-B",
-        bounds=list(zip(np.zeros(2 * L), hi)),
-        options={"maxiter": _LBFGS_ITERATIONS, "ftol": 0.0, "gtol": CONSTRAINT_TOLERANCE},
-    )
-
-    # Newton polish on the binding set. A region binds at its ceiling when
-    # taxed or over the ceiling, at its floor when subsidized or under the
-    # floor; every other region is untaxed. Near saturation region mass
-    # barely moves with the tax and the inner solve resolves it only to the
-    # population tolerance, so the Jacobian there can point anywhere: a step
-    # that takes a settled gap (within half the tolerance) out again is
-    # undone, and the polish stops at the settled taxes.
-    w = search.x[:L] - search.x[L:]
-    half_tol = 0.5 * CONSTRAINT_TOLERANCE
-    polish_steps = 0
-    step = np.inf
-    settled = None
-    while True:
+    def evaluate(w):
         masses = fp.solve(phi_arr, w).region_masses()
-        ceiling = (w > 0.0) | (masses > spec.upper + half_tol)
-        floor = ~ceiling & ((w < 0.0) | (masses < spec.lower - half_tol))
-        active = ceiling | floor
-        gap = masses[active] - np.where(ceiling, spec.upper, spec.lower)[active]
-        within = np.abs(gap).max(initial=0.0) <= half_tol
-        if settled is not None and not within:
-            w = settled
-            masses = fp.solve(phi_arr, w).region_masses()
+        return masses, fp.value() + upper @ np.maximum(w, 0.0) + spec.lower @ np.minimum(w, 0.0)
+
+    # A region is on its ceiling side when taxed, or untaxed with its mass
+    # over the ceiling, and on its floor side likewise; there the objective
+    # is smooth, with gradient bound - mass, over the box between zero and the
+    # bracket. Any other region is released to zero. A region within eps of
+    # an end of its box that its gradient points at moves to that end; the
+    # rest take a Newton step, or a gradient step where that fails, of at
+    # most the trust length: twice the last step and at least 1.
+    w = np.clip(as_tax_array(initial_taxes, spec), -floor_limit, ceiling_limit)
+    masses, value = evaluate(w)
+    half_tol = 0.5 * CONSTRAINT_TOLERANCE
+    steps, step, trust = 0, np.inf, 1.0
+    while steps < _NEWTON_STEPS:
+        ceiling = (w > 0.0) | ((w == 0.0) & (masses > spec.upper + half_tol))
+        floor = (w < 0.0) | ((w == 0.0) & (masses < spec.lower - half_tol))
+        bound = np.where(ceiling, spec.upper, spec.lower)
+        gap = np.where(ceiling | floor, masses - bound, 0.0)
+        lo = np.where(floor, -floor_limit, 0.0)
+        hi = np.where(ceiling, ceiling_limit, 0.0)
+        eps = min(trust, np.abs(w - np.clip(w + gap, lo, hi)).max())
+        held = ((w <= lo + eps) & (gap <= 0.0)) | ((w >= hi - eps) & (gap >= 0.0))
+        free = ~held
+        direction = np.where(held, np.where(gap <= 0.0, lo, hi) - w, 0.0)
+        res = np.abs(gap[free]).max(initial=0.0)
+        if ((res <= half_tol and step <= TAX_TOLERANCE) or not free.any()) and not direction.any():
             break
-        if within:
-            settled = w
-        if (
-            not active.any()
-            or (within and step <= TAX_TOLERANCE)
-            or polish_steps == _POLISH_STEPS
-        ):
+        # W is exact only up to the population residual, each unit of which
+        # moves it by log(n / unmatched mass) of its type (envelope theorem).
+        logs = np.log(np.concatenate([spec.n, spec.m])) - 2.0 * np.log(np.concatenate([fp.a, fp.b]))
+        noise = ae.POPULATION_TOLERANCE * logs.sum()
+        with np.errstate(all="ignore"):
+            hessian = -fp.mass_jacobian()[np.ix_(free, free)]
+            # A curvature the fixed point does not resolve, such as that of a
+            # region whose mass has underflowed, gets a finite step.
+            hessian[np.diag_indices_from(hessian)] += ae.POPULATION_TOLERANCE
+            try:
+                d = np.linalg.solve(hessian, gap[free])
+            except np.linalg.LinAlgError:
+                d = np.full(free.sum(), np.nan)
+        if not (np.isfinite(d).all() and d @ gap[free] >= 0.0):
+            d = gap[free] * (trust / res)
+        direction[free] = d * min(1.0, trust / np.abs(d).max(initial=trust))
+        # Halve the step until the objective falls by more than its noise, or
+        # the gap falls while the objective stays within it.
+        alpha = 1.0
+        while True:
+            trial = np.clip(w + alpha * direction, lo, hi)
+            step = np.abs(trial - w).max()
+            trial_masses, trial_value = evaluate(trial)
+            trial_res = np.abs(trial_masses - bound)[free].max(initial=0.0)
+            kept = trial_value < value - noise or (
+                trial_res <= (1.0 - 0.5 * alpha) * res and trial_value <= value + noise
+            )
+            if kept or step <= TAX_TOLERANCE:
+                break
+            alpha *= 0.5
+        w, masses, value = trial, trial_masses, trial_value
+        steps += 1
+        trust = max(1.0, 2.0 * step)
+        if not kept:
             break
-        try:
-            delta = np.linalg.solve(fp.mass_jacobian()[np.ix_(active, active)], -gap)
-        except np.linalg.LinAlgError:
-            break
-        target = np.zeros(L)
-        target[active] = w[active] + delta
-        target = np.where(ceiling, np.maximum(target, 0.0), np.minimum(target, 0.0))
-        target = np.clip(target, -BRACKET_LIMIT, BRACKET_LIMIT)
-        step = float(np.abs(target - w).max())
-        polish_steps += 1
-        if step == 0.0:
-            break
-        w = target
 
     violation = np.maximum(masses - spec.upper, spec.lower - masses)
     stuck = np.flatnonzero((np.abs(w) >= BRACKET_LIMIT) & (violation > CONSTRAINT_TOLERANCE))
@@ -194,7 +194,7 @@ def solve_eae(spec: MarketSpec, phi, initial_taxes=None) -> EquilibriumResult:
         duality_gap=kkt.duality_gap,
         max_kkt_residual=_max_residual(kkt),
         inner_iterations=fp.iterations,
-        outer_iterations=getattr(search, "nit", 0) + polish_steps,
+        outer_iterations=steps,
         converged=bool(fp.converged and kkt.passed),
         tolerances={
             "population_tolerance": ae.POPULATION_TOLERANCE,

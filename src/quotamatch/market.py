@@ -521,9 +521,6 @@ def load_market(path) -> MarketSpec:
         region_raw = data["region_of"]
         if not isinstance(region_raw, dict):
             raise SchemaViolationError("region_of must be an object")
-        for y in slot_types:
-            if y not in region_raw:
-                raise SchemaViolationError(f"region_of is missing an entry for {y!r}")
         upper = np.full(len(regions), np.inf)
         lower = np.zeros(len(regions))
         index = {z: i for i, z in enumerate(regions)}
