@@ -20,7 +20,9 @@ of a :class:`~quotamatch.ae.FixedPoint` per trial step;
 
 The search stops at a tax step of ``TAX_TOLERANCE`` (1e-8) with every binding
 region within half of ``CONSTRAINT_TOLERANCE`` (1e-8) of its bound, the
-tolerance at which the result is certified; every tax and subsidy is within
+tolerance at which the result is certified, or where a full step from within
+that tolerance neither lowers the objective nor shrinks the gap, as it stops
+doing near saturation; every tax and subsidy is within
 ``BRACKET_LIMIT`` (64), and a quota still violated there is infeasible.
 """
 
@@ -131,7 +133,8 @@ def solve_eae(spec: MarketSpec, phi, initial_taxes=None) -> EquilibriumResult:
         free = ~held
         direction = np.where(held, np.where(gap <= 0.0, lo, hi) - w, 0.0)
         res = np.abs(gap[free]).max(initial=0.0)
-        if ((res <= half_tol and step <= TAX_TOLERANCE) or not free.any()) and not direction.any():
+        settled = res <= half_tol and not direction.any()
+        if settled and (step <= TAX_TOLERANCE or not free.any()):
             break
         # W is exact only up to the population residual, each unit of which
         # moves it by log(n / unmatched mass) of its type (envelope theorem).
@@ -160,9 +163,16 @@ def solve_eae(spec: MarketSpec, phi, initial_taxes=None) -> EquilibriumResult:
             kept = trial_value < value - noise or (
                 trial_res <= (1.0 - 0.5 * alpha) * res and trial_value <= value + noise
             )
-            if kept or step <= TAX_TOLERANCE:
+            if kept or step <= TAX_TOLERANCE or settled:
                 break
             alpha *= 0.5
+        if not (kept or step <= TAX_TOLERANCE):
+            # A full step from within tolerance failed: the gap no longer
+            # falls with the step, and halving it would only chase the fixed
+            # point's drift. The search ends at w, solved again so that the
+            # fixed point matches it.
+            masses, value = evaluate(w)
+            break
         w, masses, value = trial, trial_masses, trial_value
         steps += 1
         trust = max(1.0, 2.0 * step)

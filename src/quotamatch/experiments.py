@@ -12,6 +12,9 @@ flag) produces byte-identical files. Within a replication, the budget-balance
 grid is solved in blocks of a fixed size on up to one thread per usable CPU
 (:func:`~quotamatch.ae.solve_ae_grid`), so the files are also the same on
 any number of CPUs. Each of the jobs' processes starts its own threads.
+Within a replication a floor level's scan outcome is reused at any later,
+higher level whose floors it meets, and each distinct budget-balanced winner
+is re-solved once (:func:`sweep_policies`).
 """
 
 from __future__ import annotations
@@ -26,7 +29,15 @@ import numpy as np
 from .ae import solve_ae
 from .eae import InfeasibleQuotaError, solve_eae
 from .market import MarketSpec, SurplusMatrix, region_masses
-from .policies import PolicyResult, bbae, cap_reduced_ae, eae_upper_bound, policy_result, tax_grid
+from .policies import (
+    PolicyResult,
+    bbae,
+    cap_reduced_ae,
+    eae_upper_bound,
+    floors_met,
+    policy_result,
+    tax_grid,
+)
 from .rng import SplitMix64
 
 __all__ = [
@@ -254,12 +265,20 @@ def sweep_policies(
     no ``eae`` result. The budget-balance grid (:func:`~quotamatch.policies.tax_grid`)
     is built and checked against its size limit before any solve, and
     solved once for all levels.
+
+    Each scan's outcome at a level is reused at any later, higher level
+    whose floors it meets. A scan's candidates do not depend on the floors,
+    a higher level only removes feasible ones, and the scan picks the
+    extreme feasible grid value, so the reused outcome is the one a fresh
+    scan would pick, whatever the order of the levels.
     """
     grid = tax_grid(spec, urban_region, tax_axis, subsidy_axis)
     # A NaN floor is not vacuous: it takes the constrained path, whose
     # validation rejects it.
     constrained = [{z: floor for z in floor_regions} for floor in floor_grid if not floor <= 0.0]
     budget_balanced = iter(bbae(spec, phi, constrained, grid))
+    scans = ((eae_upper_bound, upper_bound_grid), (cap_reduced_ae, cap_grid))
+    last_scanned = {}  # scan -> (level, result) at the last constrained level
     unconstrained = None
     sweep = []
     for floor in floor_grid:
@@ -275,8 +294,16 @@ def sweep_policies(
             results.append(policy_result("eae", eae_result, phi, spec))
         except InfeasibleQuotaError:
             pass
-        results.append(eae_upper_bound(spec, phi, floors, upper_bound_grid, urban_region))
-        results.append(cap_reduced_ae(spec, phi, floors, cap_grid, urban_region))
+        for scan, scan_grid in scans:
+            level, result = last_scanned.get(scan, (np.inf, None))
+            if not (
+                floor >= level
+                and result.feasible
+                and floors_met(result.equilibrium.matching, floors, spec)
+            ):
+                result = scan(spec, phi, floors, scan_grid, urban_region)
+            last_scanned[scan] = (floor, result)
+            results.append(result)
         results.append(next(budget_balanced))
         sweep.append(results)
     return sweep

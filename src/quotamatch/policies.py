@@ -41,6 +41,7 @@ __all__ = [
     "PolicyResult",
     "OrderingReport",
     "policy_result",
+    "floors_met",
     "eae_upper_bound",
     "cap_reduced_ae",
     "tax_grid",
@@ -91,7 +92,9 @@ def policy_result(
     return PolicyResult(policy, result, search_parameter, welfare, feasible, evaluated)
 
 
-def _floors_met(mu: Matching, floors: Mapping[str, float], spec: MarketSpec) -> bool:
+def floors_met(mu: Matching, floors: Mapping[str, float], spec: MarketSpec) -> bool:
+    """Whether the matching's mass in every floor region is within
+    ``FLOOR_TOLERANCE`` of its target floor or above it."""
     masses = region_masses(mu, spec)
     return all(masses[spec.region_index(z)] >= f - FLOOR_TOLERANCE for z, f in floors.items())
 
@@ -108,7 +111,7 @@ def _first_feasible(grid: Sequence[float], solve, floors: Mapping[str, float], s
         raise ValueError("grid must be a nonempty ascending sequence")
     for value in values:
         result = solve(value)
-        if _floors_met(result.matching, floors, spec):
+        if floors_met(result.matching, floors, spec):
             return value, result, True
     return value, result, False
 
@@ -217,14 +220,15 @@ def bbae(
     then maximizes social welfare over the kept set (first maximizer wins, so
     the reduction is independent of evaluation order). With an empty kept
     set it falls back to all budget-balanced rows and the result is flagged
-    infeasible, as it is when the grid solve did not converge. The winner is
-    re-solved alone for its utilities and diagnostics. With no floor levels
-    nothing is solved.
+    infeasible, as it is when the grid solve did not converge. Each distinct
+    winner is re-solved alone, once, for its utilities and diagnostics, and
+    priced at every level it wins. With no floor levels nothing is solved.
     """
     if not floor_levels:
         return []
     solved = solve_ae_grid(spec, phi, grid)
     balanced = solved.revenue >= -1e-12
+    equilibria = {}
     results = []
     for floors in floor_levels:
         keep = balanced.copy()
@@ -237,8 +241,10 @@ def bbae(
         candidates = np.flatnonzero(pool)
         winner = int(candidates[np.argmax(solved.social_welfare[candidates])])
         taxes = np.array(solved.taxes[winner])
-        result = solve_ae(spec, phi, taxes)
-        results.append(policy_result("bbae", result, phi, spec, feasible and solved.converged, taxes))
+        if winner not in equilibria:
+            equilibria[winner] = solve_ae(spec, phi, taxes)
+        feasible = feasible and solved.converged
+        results.append(policy_result("bbae", equilibria[winner], phi, spec, feasible, taxes))
     return results
 
 

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from quotamatch.ae import solve_ae, solve_ae_grid
-from quotamatch.eae import solve_eae
+from quotamatch.eae import InfeasibleQuotaError, solve_eae
 from quotamatch.experiments import (
     BB_SUBSIDY_AXIS,
     BB_TAX_AXIS,
     CAP_GRID,
     UPPER_BOUND_GRID,
+    JrmpConfig,
     gen_jrmp_market,
     sweep_policies,
 )
@@ -45,6 +46,24 @@ def eae_policy(spec, phi, floors):
 
 def default_grid(spec):
     return tax_grid(spec, "z1", BB_TAX_AXIS, BB_SUBSIDY_AXIS)
+
+
+def assert_same_result(result, want):
+    """Two policy results agree bit for bit."""
+    assert result.policy == want.policy
+    assert np.array_equal(result.search_parameter, want.search_parameter)
+    assert result.feasible == want.feasible
+    assert result.welfare == want.welfare
+    for got, expected in (
+        (result.evaluated_matching, want.evaluated_matching),
+        (result.equilibrium.matching, want.equilibrium.matching),
+    ):
+        assert got.matched.tobytes() == expected.matched.tobytes()
+        assert got.unmatched_workers.tobytes() == expected.unmatched_workers.tobytes()
+        assert got.unmatched_slots.tobytes() == expected.unmatched_slots.tobytes()
+    assert result.equilibrium.taxes.w.tobytes() == want.equilibrium.taxes.w.tobytes()
+    assert result.equilibrium.utilities.U.tobytes() == want.equilibrium.utilities.U.tobytes()
+    assert result.equilibrium.utilities.V.tobytes() == want.equilibrium.utilities.V.tobytes()
 
 
 def assert_feasible_prefix(feasibility):
@@ -182,19 +201,38 @@ class TestBudgetBalancedPolicy:
         assert chosen.welfare.social == pytest.approx(best, abs=1e-8)
 
     def test_sweep_selection_equals_fresh_bbae_bit_for_bit(self, jrmp):
+        # The sweep shares solves across levels: the budget-balance grid, a
+        # bbae winner's re-solve, and a scan outcome that meets a higher
+        # level's floors. Unsorted and repeated levels, a vacuous one and one
+        # that no cap meets must still give every policy the result of a
+        # fresh call at that floor alone.
         spec, phi = jrmp
-        levels = (0.1, 0.2, 0.3)
+        levels = (0.3, 0.1, 0.2, 0.2, 0.0, 0.49)
         sweep = sweep_policies(spec, phi, levels, "z1", ("z2", "z3"))
+        free = policy_result("unconstrained", solve_ae(spec, phi), phi, spec)
         for level, results in zip(levels, sweep):
-            swept = next(r for r in results if r.policy == "bbae")
-            [fresh] = bbae(spec, phi, [{"z2": level, "z3": level}], default_grid(spec))
-            assert np.array_equal(swept.search_parameter, fresh.search_parameter)
-            assert swept.feasible == fresh.feasible
-            assert swept.welfare == fresh.welfare
-            mu, want = swept.evaluated_matching, fresh.evaluated_matching
-            assert mu.matched.tobytes() == want.matched.tobytes()
-            assert mu.unmatched_workers.tobytes() == want.unmatched_workers.tobytes()
-            assert mu.unmatched_slots.tobytes() == want.unmatched_slots.tobytes()
+            floors = {"z2": level, "z3": level}
+            if level == 0.0:
+                fresh = [
+                    replace(free, policy=p)
+                    for p in ("eae", "eae_upper_bound", "cap_reduced", "bbae")
+                ]
+            else:
+                fresh = [
+                    eae_upper_bound(spec, phi, floors, UPPER_BOUND_GRID, "z1"),
+                    cap_reduced_ae(spec, phi, floors, CAP_GRID, "z1"),
+                    *bbae(spec, phi, [floors], default_grid(spec)),
+                ]
+                try:
+                    eq = solve_eae(spec.with_quotas(lower=floors), phi)
+                    fresh.insert(0, policy_result("eae", eq, phi, spec))
+                except InfeasibleQuotaError:
+                    pass
+            assert [r.policy for r in results] == [r.policy for r in fresh]
+            for swept, want in zip(results, fresh):
+                assert_same_result(swept, want)
+        upper_bound = [next(r for r in rs if r.policy == "eae_upper_bound") for rs in sweep]
+        assert not upper_bound[-1].feasible
 
     def test_vacuous_floors_solve_no_grid(self, jrmp, monkeypatch):
         def unused_grid(*args, **kwargs):
@@ -214,6 +252,36 @@ class TestBudgetBalancedPolicy:
         want = float((mu.matched * (np.asarray(phi.phi) - w_slot[None, :])).sum())
         net = result.welfare.match_surplus - result.welfare.pm_surplus
         assert net == pytest.approx(want, abs=1e-8)
+
+
+class TestSweepSolves:
+    def test_each_candidate_solved_once_per_market(self, jrmp, monkeypatch):
+        # On this draw both scans accept their first grid value at every
+        # published level, so one candidate solve each serves all seven
+        # levels, and each distinct bbae winner is re-solved once.
+        calls = {"solve_eae": 0, "solve_ae": 0}
+
+        def counted(name, solve):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return solve(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr("quotamatch.policies.solve_eae", counted("solve_eae", solve_eae))
+        monkeypatch.setattr("quotamatch.policies.solve_ae", counted("solve_ae", solve_ae))
+        spec, phi = jrmp
+        levels = JrmpConfig().floor_grid
+        sweep = sweep_policies(spec, phi, levels, "z1", ("z2", "z3"))
+        by_policy = {
+            p: [r for rs in sweep for r in rs if r.policy == p]
+            for p in ("eae_upper_bound", "cap_reduced", "bbae")
+        }
+        assert all(r.feasible for rs in by_policy.values() for r in rs)
+        assert {r.search_parameter for r in by_policy["eae_upper_bound"]} == {UPPER_BOUND_GRID[0]}
+        assert {r.search_parameter for r in by_policy["cap_reduced"]} == {CAP_GRID[0]}
+        winners = {r.search_parameter.tobytes() for r in by_policy["bbae"]}
+        assert calls == {"solve_eae": 1, "solve_ae": 1 + len(winners)}
 
 
 class TestOrderingCheck:
