@@ -23,17 +23,18 @@ One :class:`FixedPoint` holds a market's solution and warm-starts each solve
 from the last: :func:`solve_ae` is one cold solve, and the outer searches of
 :mod:`quotamatch.eae` and :mod:`quotamatch.estimation` keep one throughout.
 
+:func:`solve_ae_grid` solves a grid of tax vectors on one thread, in batches
+of points swept in lockstep, each batch warm-started from the last. It
+prices every point in closed form from its unmatched masses, so no grid
+point's matching is ever formed.
+
 A solve is converged once its worst absolute population residual is at most
 ``POPULATION_TOLERANCE`` (1e-10); ``MAX_ITERATIONS`` (10,000) caps its sweeps.
 """
 
 from __future__ import annotations
 
-import contextvars
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -76,9 +77,6 @@ _ROUNDING = 1e-12
 #: about half the digits of the Newton step (the square root of the double
 #: precision epsilon)
 _RESOLVED = 1.5e-8
-#: rows of a tax grid solved together; fixed, so that a grid's results do
-#: not depend on how many threads solve its blocks
-_GRID_BLOCK = 1536
 
 
 class KernelRangeError(ValueError):
@@ -241,6 +239,14 @@ def _solve_log_jacobian(cross, excess, rhs):
     return np.linalg.solve(hessian, rhs)
 
 
+def _value(n, m, a, b):
+    """:meth:`FixedPoint.value` from the roots ``a``, ``b`` of the unmatched
+    masses, one per leading index."""
+    return (n * (np.log(n) - 2.0 * np.log(a))).sum(axis=-1) + (
+        m * (np.log(m) - 2.0 * np.log(b))
+    ).sum(axis=-1)
+
+
 class FixedPoint:
     """The fixed point of one market, each solve warm-started from the last.
 
@@ -297,11 +303,7 @@ class FixedPoint:
         In the logit closed form 1 + sum_y exp(U_xy) = n_x / a_x**2, and
         likewise on the slot side.
         """
-        n, m = self.spec.n, self.spec.m
-        return float(
-            (n * (np.log(n) - 2.0 * np.log(self.a))).sum()
-            + (m * (np.log(m) - 2.0 * np.log(self.b))).sum()
-        )
+        return float(_value(self.spec.n, self.spec.m, self.a, self.b))
 
     def tangent(self, r, s):
         """Tangent of the fixed point along D directions of surplus minus tax.
@@ -361,20 +363,16 @@ def solve_ae(spec: MarketSpec, phi, taxes=None) -> EquilibriumResult:
 
 @dataclass(frozen=True)
 class GridSolution:
-    """Batched tax-fixed equilibria over a grid of tax vectors, priced.
+    """Tax-fixed equilibria over a grid of tax vectors, priced.
 
-    Arrays are stacked along the grid dimension. The grid is solved in
-    blocks of rows (:func:`solve_ae_grid`): ``iterations`` is the sweep count
-    of the slowest block and ``residual`` the worst block's residual. Each
-    point's floor-independent prices come with the solve: ``revenue`` is
-    sum mu*w and ``social_welfare`` :func:`~quotamatch.logit.matching_value`
-    at phi.
+    Arrays run over the grid's points in row order, batch after batch
+    (:func:`solve_ae_grid`): ``region_mass`` is a point's matched mass by
+    region, ``revenue`` sum mu*w and ``social_welfare``
+    :func:`~quotamatch.logit.matching_value` at phi. ``iterations`` and
+    ``residual`` are the maxima over the batches.
     """
 
     taxes: np.ndarray            # (G, L)
-    matched: np.ndarray          # (G, N, M)
-    unmatched_workers: np.ndarray  # (G, N)
-    unmatched_slots: np.ndarray    # (G, M)
     region_mass: np.ndarray      # (G, L)
     revenue: np.ndarray          # (G,)
     social_welfare: np.ndarray   # (G,)
@@ -382,74 +380,56 @@ class GridSolution:
     residual: float
     converged: bool
 
-    def matching(self, g: int) -> Matching:
-        return Matching(self.matched[g], self.unmatched_workers[g], self.unmatched_slots[g])
-
 
 def solve_ae_grid(spec: MarketSpec, phi, tax_grid) -> GridSolution:
     """Solve and price the tax-fixed equilibrium at every tax vector of a grid.
 
-    Grid points are independent. The rows are split into blocks of
-    ``_GRID_BLOCK``; the points of a block are advanced in lockstep, its
-    iteration stopping when the worst residual across the block meets the
-    tolerance, and each point agrees with its separate solve to the
-    population tolerance. The blocks run on a pool of threads, one per usable
-    CPU at most (numpy releases the interpreter lock in their array work);
-    the block size is fixed, so the results do not depend on the number of
-    threads. Every kernel factors as ``base * scale_g`` with
-    ``base = exp((phi - top) / 2) <= 1`` (``top`` the column maxima of phi)
-    and ``scale_g = exp((top - w_g) / 2)``, so one ``base`` serves the whole
-    grid; the exponent of ``scale_g`` is the largest of the point's kernel,
-    so the range check applies to it.
+    A (G, L) grid is one batch of points, a (T, P, L) grid T batches of P.
+    The points of a batch are advanced in lockstep, its iteration stopping
+    when the worst residual across the batch meets the tolerance, and each
+    point agrees with its separate solve to the population tolerance. Each
+    batch starts from the previous one's solution, point by point; along
+    :func:`~quotamatch.policies.tax_grid`'s batches only the capped region's
+    tax moves, so a few sweeps suffice. Every kernel factors as
+    ``base * scale_g`` with ``base = exp((phi - top) / 2) <= 1`` (``top`` the
+    column maxima of phi) and ``scale_g = exp((top - w_g) / 2)``, so one
+    ``base`` serves the whole grid; the exponent of ``scale_g`` is the largest
+    of the point's kernel, so the range check applies to it.
+
+    A point is priced from its unmatched masses alone. Slot y's matched mass
+    is m_y - b_y**2, and the social welfare is the equilibrium value at the
+    net surplus (:meth:`FixedPoint.value`) plus the revenue.
     """
     phi_arr = as_surplus_array(phi, spec)
     grid = np.asarray(tax_grid, dtype=np.float64)
-    if grid.ndim != 2 or grid.shape[1] != spec.num_regions:
-        raise ValueError(f"tax grid must have shape (G, {spec.num_regions})")
+    L = spec.num_regions
+    if grid.ndim not in (2, 3) or grid.shape[-1] != L:
+        raise ValueError(f"tax grid must have shape (G, {L}) or (T, P, {L})")
     if not np.isfinite(grid).all():
         raise ValueError("tax grid entries must be finite")
-    w_slot = grid[:, spec.slot_region_index]
+    batches = grid.reshape(-1, *grid.shape[-2:])
+    w_slot = batches[..., spec.slot_region_index]
     top = phi_arr.max(axis=0)
-    exponent = 0.5 * (top[None, :] - w_slot)
+    exponent = 0.5 * (top - w_slot)
     if exponent.max() > _EXP_LIMIT:
         raise KernelRangeError("kernel exponent out of range somewhere on the tax grid")
     base = np.exp(0.5 * (phi_arr - top[None, :]))
-    scale = np.exp(exponent)
-    region_slots = spec.region_slot_indices  # a cached property: filled before the threads start
-
-    def solve_block(rows):
-        a, b, iterations, residual = _ipfp(spec.n, spec.m, base, scale=scale[rows])
-        matched = a[:, :, None] * base[None, :, :] * (b * scale[rows])[:, None, :]
-        mu = SimpleNamespace(matched=matched, unmatched_workers=a * a, unmatched_slots=b * b)
-        per_slot = matched.sum(axis=1)
-        masses = np.stack([per_slot[:, cols].sum(axis=1) for cols in region_slots], axis=1)
-        revenue = (matched * w_slot[rows, None, :]).sum(axis=(1, 2))
-        return mu, masses, revenue, matching_value(mu, phi_arr, spec), iterations, residual
-
-    blocks = [slice(start, start + _GRID_BLOCK) for start in range(0, grid.shape[0], _GRID_BLOCK)]
-    with ThreadPoolExecutor(min(len(blocks), _usable_cpus())) as pool:
-        # numpy's floating-point error state is a context variable: each block
-        # runs in a copy of the caller's context so that it applies there too.
-        futures = [pool.submit(contextvars.copy_context().run, solve_block, rows) for rows in blocks]
-        parts = [future.result() for future in futures]
-    mus, masses, revenue, welfare, iterations, residuals = zip(*parts)
-    residual = max(residuals)
+    a = b = None
+    roots, iterations, residual = [], 0, 0.0
+    for scale in np.exp(exponent):
+        a, b, sweeps, worst = _ipfp(spec.n, spec.m, base, a, b, scale)
+        roots.append((a, b))
+        iterations, residual = max(iterations, sweeps), max(residual, worst)
+    a, b = (np.concatenate(side) for side in zip(*roots))
+    w_slot = w_slot.reshape(-1, spec.num_slots)
+    per_slot = spec.m - b * b
+    revenue = (per_slot * w_slot).sum(axis=1)
     return GridSolution(
-        taxes=grid,
-        matched=np.concatenate([mu.matched for mu in mus]),
-        unmatched_workers=np.concatenate([mu.unmatched_workers for mu in mus]),
-        unmatched_slots=np.concatenate([mu.unmatched_slots for mu in mus]),
-        region_mass=np.concatenate(masses),
-        revenue=np.concatenate(revenue),
-        social_welfare=np.concatenate(welfare),
-        iterations=max(iterations),
+        taxes=grid.reshape(-1, L),
+        region_mass=per_slot @ np.eye(L)[spec.slot_region_index],
+        revenue=revenue,
+        social_welfare=_value(spec.n, spec.m, a, b) + revenue,
+        iterations=iterations,
         residual=residual,
         converged=residual <= POPULATION_TOLERANCE,
     )
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1

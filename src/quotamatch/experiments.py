@@ -8,13 +8,13 @@ policies. Aggregates are emitted as plot-ready CSV panels.
 
 Replications and floor levels are independent; the harness output is a pure
 function of the configuration, so parallel execution (see the CLI's jobs
-flag) produces byte-identical files. Within a replication, the budget-balance
-grid is solved in blocks of a fixed size on up to one thread per usable CPU
-(:func:`~quotamatch.ae.solve_ae_grid`), so the files are also the same on
-any number of CPUs. Each of the jobs' processes starts its own threads.
-Within a replication a floor level's scan outcome is reused at any later,
-higher level whose floors it meets, and each distinct budget-balanced winner
-is re-solved once (:func:`sweep_policies`).
+flag, the only parallelism) produces byte-identical files. A replication runs
+on one thread: its budget-balance grid is solved in warm-started batches and
+priced in closed form (:func:`~quotamatch.ae.solve_ae_grid`). Within a
+replication a floor level's scan outcome is reused at any later, higher
+level whose floors it meets, or whose floors it did not meet at its own
+level, and each distinct budget-balanced winner is re-solved once
+(:func:`sweep_policies`).
 """
 
 from __future__ import annotations
@@ -270,7 +270,10 @@ def sweep_policies(
     whose floors it meets. A scan's candidates do not depend on the floors,
     a higher level only removes feasible ones, and the scan picks the
     extreme feasible grid value, so the reused outcome is the one a fresh
-    scan would pick, whatever the order of the levels.
+    scan would pick, whatever the order of the levels. An outcome that did
+    not meet its own level's floors means no grid value did; none meets a
+    higher level's either, and the scan's fallback value does not depend on
+    the floors, so that outcome is reused at every higher level too.
     """
     grid = tax_grid(spec, urban_region, tax_axis, subsidy_axis)
     # A NaN floor is not vacuous: it takes the constrained path, whose
@@ -278,7 +281,7 @@ def sweep_policies(
     constrained = [{z: floor for z in floor_regions} for floor in floor_grid if not floor <= 0.0]
     budget_balanced = iter(bbae(spec, phi, constrained, grid))
     scans = ((eae_upper_bound, upper_bound_grid), (cap_reduced_ae, cap_grid))
-    last_scanned = {}  # scan -> (level, result) at the last constrained level
+    last_scanned = {}  # scan -> (level, result, met its floors) at the last constrained level
     unconstrained = None
     sweep = []
     for floor in floor_grid:
@@ -295,14 +298,17 @@ def sweep_policies(
         except InfeasibleQuotaError:
             pass
         for scan, scan_grid in scans:
-            level, result = last_scanned.get(scan, (np.inf, None))
+            level, result, met = last_scanned.get(scan, (np.inf, None, True))
             if not (
                 floor >= level
-                and result.feasible
-                and floors_met(result.equilibrium.matching, floors, spec)
+                and (
+                    not met
+                    or result.feasible and floors_met(result.equilibrium.matching, floors, spec)
+                )
             ):
                 result = scan(spec, phi, floors, scan_grid, urban_region)
-            last_scanned[scan] = (floor, result)
+                met = floors_met(result.equilibrium.matching, floors, spec)
+            last_scanned[scan] = (floor, result, met)
             results.append(result)
         results.append(next(budget_balanced))
         sweep.append(results)

@@ -85,31 +85,24 @@ def h_gradient(V, spec: MarketSpec) -> np.ndarray:
     return (spec.m[:, None] * _softmax_rows(arr.T)).T
 
 
-def matching_value(mu, phi, spec: MarketSpec):
-    """Social value of matchings: realized surplus plus the heterogeneity term.
+def matching_value(mu, phi, spec: MarketSpec) -> float:
+    """Social value of a matching: realized surplus plus the heterogeneity term.
 
     Computes ``sum mu*phi - sum mu*log(mu/n) - sum mu*log(mu/m)``, where the
     logarithmic sums run over each type's row of matched and unmatched masses
     (the Choo-Siow entropy). ``mu`` is a :class:`Matching` or any object with
-    ``matched`` (..., N, M), ``unmatched_workers`` (..., N) and
-    ``unmatched_slots`` (..., M) arrays stacked over the same leading axes;
-    ``phi`` broadcasts against ``matched``. Returns one value per leading
-    index (a scalar for a single matching). Zero masses contribute 0 (the
-    0*log 0 = 0 convention), and so does a positive mass too small for its
-    share of the type mass to be representable; negative masses give nan.
+    ``matched`` (N, M), ``unmatched_workers`` (N,) and ``unmatched_slots``
+    (M,) arrays; ``phi`` broadcasts against ``matched``. Zero masses
+    contribute 0 (the 0*log 0 = 0 convention), and so does a positive mass
+    too small for its share of the type mass to be representable; negative
+    masses give nan.
     """
     matched = np.asarray(mu.matched, dtype=np.float64)
-    worker_rows = np.concatenate(
-        [np.asarray(mu.unmatched_workers, dtype=np.float64)[..., :, None], matched], axis=-1
-    )
-    slot_rows = np.concatenate(
-        [np.asarray(mu.unmatched_slots, dtype=np.float64)[..., :, None], np.swapaxes(matched, -1, -2)],
-        axis=-1,
-    )
-    worker_term = _xlog_share(worker_rows, spec.n).sum(axis=(-2, -1))
-    slot_term = _xlog_share(slot_rows, spec.m).sum(axis=(-2, -1))
-    match_surplus = (matched * phi).sum(axis=(-2, -1))
-    return match_surplus - worker_term - slot_term
+    worker_rows = np.column_stack([np.asarray(mu.unmatched_workers, dtype=np.float64), matched])
+    slot_rows = np.column_stack([np.asarray(mu.unmatched_slots, dtype=np.float64), matched.T])
+    worker_term = _xlog_share(worker_rows, spec.n).sum()
+    slot_term = _xlog_share(slot_rows, spec.m).sum()
+    return float((matched * phi).sum() - worker_term - slot_term)
 
 
 def _xlog_share(rows: np.ndarray, mass: np.ndarray) -> np.ndarray:

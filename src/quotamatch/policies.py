@@ -56,7 +56,8 @@ FLOOR_TOLERANCE = 1e-8
 #: welfare shortfall along the policy ordering that still counts as ordered
 ORDERING_TOLERANCE = 1e-7
 #: largest budget-balance grid, in grid points times worker types times slot
-#: types: the size of each stacked (G, N, M) array of the grid solve
+#: types: it bounds the grid's solve time and the (P, N, M) arrays of the
+#: Newton trials of a batch of P points
 MAX_GRID_ENTRIES = 1_000_000
 
 
@@ -184,10 +185,11 @@ def tax_grid(
     """Cartesian budget-balance grid: the tax axis on the capped region, its
     own copy of the subsidy axis on every other region.
 
-    Rows run in ``itertools.product`` order over the capped region first and
-    then the others in region order, |tax axis| * |subsidy axis|**(L-1) rows.
-    A grid whose rows times worker and slot types exceed
-    ``MAX_GRID_ENTRIES`` is rejected before it is built.
+    Returns shape (T, P, L): one batch of P = |subsidy axis|**(L-1) rows per
+    value of the tax axis, T = |tax axis| batches. Flattened, the rows run in
+    ``itertools.product`` order over the capped region first and then the
+    others in region order. A grid whose rows times worker and slot types
+    exceed ``MAX_GRID_ENTRIES`` is rejected before it is built.
     """
     num_regions = spec.num_regions
     points = len(tax_axis) * len(subsidy_axis) ** (num_regions - 1)
@@ -195,7 +197,7 @@ def tax_grid(
         raise ValueError(
             f"budget-balance grid of {points} tax vectors on a "
             f"{spec.num_workers}x{spec.num_slots} market exceeds {MAX_GRID_ENTRIES} "
-            "stacked pair masses; coarsen the subsidy axis (--subsidy-grid)"
+            "points times worker and slot types; coarsen the subsidy axis (--subsidy-grid)"
         )
     capped = spec.region_index(capped_region)
     rows = np.asarray(
@@ -203,7 +205,7 @@ def tax_grid(
     )
     grid = np.empty_like(rows)
     grid[:, [capped] + [z for z in range(num_regions) if z != capped]] = rows
-    return grid
+    return grid.reshape(len(tax_axis), len(subsidy_axis) ** (num_regions - 1), num_regions)
 
 
 def bbae(
@@ -214,15 +216,18 @@ def bbae(
 ) -> list[PolicyResult]:
     """Budget-balanced equilibrium over a finite tax grid, one per floor level.
 
-    The zero-constraint equilibrium is solved and priced once at every grid
-    row. For each mapping of target floors the selection keeps rows with
-    nonnegative policymaker revenue whose region masses meet every floor,
-    then maximizes social welfare over the kept set (first maximizer wins, so
-    the reduction is independent of evaluation order). With an empty kept
-    set it falls back to all budget-balanced rows and the result is flagged
-    infeasible, as it is when the grid solve did not converge. Each distinct
-    winner is re-solved alone, once, for its utilities and diagnostics, and
-    priced at every level it wins. With no floor levels nothing is solved.
+    ``grid`` is a (G, L) array of tax vectors or a (T, P, L) stack of
+    batches (:func:`tax_grid`), taken in row order. The zero-constraint
+    equilibrium is solved and priced once at every grid row
+    (:func:`~quotamatch.ae.solve_ae_grid`). For each mapping of target
+    floors the selection keeps rows with nonnegative policymaker revenue
+    whose region masses meet every floor, then maximizes social welfare over
+    the kept set (first maximizer wins, so the reduction is independent of
+    evaluation order). With an empty kept set it falls back to all
+    budget-balanced rows and the result is flagged infeasible, as it is when
+    the grid solve did not converge. Each distinct winner is re-solved alone,
+    once, for its utilities and diagnostics, and priced at every level it
+    wins. With no floor levels nothing is solved.
     """
     if not floor_levels:
         return []

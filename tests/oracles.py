@@ -3,7 +3,7 @@
 Everything here deliberately avoids the fixed-point and tax-search code paths:
 values come from Monte-Carlo simulation, finite differences, generic convex
 minimization (projected quasi-Newton over the reduced objectives), or
-exhaustive grid evaluation.
+exhaustive grid evaluation by plain alternating sweeps.
 """
 
 import numpy as np
@@ -144,3 +144,28 @@ def quadratic_single_pair(phi: float, w: float) -> dict:
         "U": (phi - w) / 2.0,
         "V": (phi - w) / 2.0,
     }
+
+
+def sweep_grid_matchings(spec: MarketSpec, phi, grid, tol: float = 1e-12) -> list[Matching]:
+    """Tax-fixed equilibria at every tax vector of a (G, L) grid.
+
+    Plain alternating sweeps on the (G, N, M) kernel exp((phi - w) / 2), with
+    no Newton step: each half-sweep takes the positive root of a**2 + a s = n
+    (slot side: b**2 + b t = m) for the square root of every unmatched mass,
+    until the worst worker residual over the grid is at most ``tol``.
+    """
+    w_slot = np.asarray(grid, dtype=np.float64)[:, spec.slot_region_index]
+    kernel = np.exp(0.5 * (np.asarray(phi, dtype=np.float64)[None, :, :] - w_slot[:, None, :]))
+    n, m = spec.n, spec.m
+    b = np.broadcast_to(np.sqrt(m / 2.0), w_slot.shape)
+    for _ in range(100_000):
+        s = np.einsum("gxy,gy->gx", kernel, b)
+        a = 2.0 * n / (s + np.sqrt(s * s + 4.0 * n))
+        t = np.einsum("gxy,gx->gy", kernel, a)
+        b = 2.0 * m / (t + np.sqrt(t * t + 4.0 * m))
+        if np.abs(a * a + a * np.einsum("gxy,gy->gx", kernel, b) - n).max() <= tol:
+            break
+    else:
+        raise RuntimeError("grid sweeps did not converge")
+    matched = a[:, :, None] * kernel * b[:, None, :]
+    return [Matching(matched[g], a[g] * a[g], b[g] * b[g]) for g in range(w_slot.shape[0])]

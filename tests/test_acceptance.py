@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from conftest import random_constrained_market
-from oracles import central_difference
-from quotamatch.ae import solve_ae, solve_ae_grid
+from oracles import central_difference, sweep_grid_matchings
+from quotamatch.ae import solve_ae
 from quotamatch.eae import InfeasibleQuotaError, solve_eae, verify_kkt
 from quotamatch.estimation import CovariateBasis, SurplusModel, estimate, surplus_from_covariates
 from quotamatch.experiments import (
@@ -144,12 +144,10 @@ def test_criterion_06_welfare_optimality_grid():
             assert best.diagnostics.converged
             best_welfare = matching_value(best.matching, phi, spec)
             grid = np.arange(-3.0, 3.0, 1e-3)[:, None]
-            batch = solve_ae_grid(spec, phi, grid)
-            feasible = (batch.region_mass[:, 0] >= spec.lower[0] - 1e-9) & (
-                batch.region_mass[:, 0] <= spec.upper[0] + 1e-9
-            )
-            for g in np.flatnonzero(feasible):
-                assert best_welfare >= matching_value(batch.matching(g), phi, spec) - 1e-7
+            for mu in sweep_grid_matchings(spec, phi, grid):
+                mass = mu.matched.sum()
+                if spec.lower[0] - 1e-9 <= mass <= spec.upper[0] + 1e-9:
+                    assert best_welfare >= matching_value(mu, phi, spec) - 1e-7
 
 
 def test_criterion_07_policy_ordering_sweep(full_sweep):

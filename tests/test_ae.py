@@ -16,7 +16,8 @@ from quotamatch.ae import (
     solve_ae_grid,
 )
 from quotamatch.eae import verify_kkt
-from quotamatch.market import MarketSpec, region_masses
+from quotamatch.logit import matching_value
+from quotamatch.market import MarketSpec, as_surplus_array, region_masses
 
 
 class TestKernel:
@@ -132,22 +133,64 @@ class TestSolveAe:
         assert d.duality_gap <= 1e-8 * (1.0 + abs(d.dual_value))
 
 
+def assert_priced_like_solve_ae(batch, spec, phi, tol, welfare_tol=None):
+    """Every grid point's region masses, revenue and social welfare agree with
+    its separate solve priced by matching_value, to ``tol``; the welfare to
+    ``welfare_tol`` (``tol`` by default) relative to its size once that
+    exceeds one."""
+    phi = as_surplus_array(phi, spec)
+    welfare_tol = tol if welfare_tol is None else welfare_tol
+    for g, w in enumerate(batch.taxes):
+        single = solve_ae(spec, phi, w).matching
+        assert np.abs(batch.region_mass[g] - region_masses(single, spec)).max() < tol
+        revenue = float((single.matched * w[spec.slot_region_index][None, :]).sum())
+        assert abs(batch.revenue[g] - revenue) < tol
+        welfare = matching_value(single, phi, spec)
+        assert abs(batch.social_welfare[g] - welfare) < welfare_tol * max(1.0, abs(welfare))
+
+
+@st.composite
+def gridded_markets(draw):
+    """Up to 3 x 3 markets over up to three regions, with masses from 1e-6 to
+    1e3 and surplus within +-40, and a (T, P, L) tax grid of 2-3 batches."""
+    num_workers, num_slots = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    num_regions = draw(st.integers(1, num_slots))
+    region = draw(st.permutations(range(num_slots)))
+    region_of = {f"y{j}": f"z{min(region[j], num_regions - 1)}" for j in range(num_slots)}
+    exponents = st.floats(-6.0, 3.0)
+    n = 10.0 ** np.array(draw(st.lists(exponents, min_size=num_workers, max_size=num_workers)))
+    m = 10.0 ** np.array(draw(st.lists(exponents, min_size=num_slots, max_size=num_slots)))
+    spec = MarketSpec(
+        tuple(f"x{i}" for i in range(num_workers)),
+        tuple(f"y{j}" for j in range(num_slots)),
+        tuple(f"z{k}" for k in range(num_regions)),
+        n,
+        m,
+        region_of,
+        np.full(num_regions, np.inf),
+        np.zeros(num_regions),
+    )
+    size = num_workers * num_slots
+    phi = np.array(draw(st.lists(st.floats(-40.0, 40.0), min_size=size, max_size=size)))
+    shape = (draw(st.integers(2, 3)), draw(st.integers(1, 3)), num_regions)
+    size = int(np.prod(shape))
+    taxes = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=size, max_size=size)))
+    return spec, phi.reshape(num_workers, num_slots), taxes.reshape(shape)
+
+
 class TestGridSolve:
     def test_matches_individual_solves(self, example_market):
         spec, phi = example_market
         grid = np.array([[0.0, 0.0], [0.5, -0.1], [2.0, 0.3]])
         batch = solve_ae_grid(spec, phi, grid)
         assert batch.converged
-        for g in range(grid.shape[0]):
-            single = solve_ae(spec, phi, grid[g])
-            assert np.abs(batch.matched[g] - single.matching.matched).max() < 1e-9
-            masses = region_masses(single.matching, spec)
-            assert np.abs(batch.region_mass[g] - masses).max() < 1e-9
+        assert_priced_like_solve_ae(batch, spec, phi, 1e-9)
 
     def test_rejects_bad_shape(self, example_market):
         spec, phi = example_market
-        with pytest.raises(ValueError):
-            solve_ae_grid(spec, phi, np.zeros((4, 3)))
+        for shape in ((4, 3), (2, 2, 3), (1, 1, 1, 2), (2,)):
+            with pytest.raises(ValueError):
+                solve_ae_grid(spec, phi, np.zeros(shape))
 
     def test_rejects_non_finite_grid(self, example_market):
         spec, phi = example_market
@@ -172,7 +215,7 @@ class TestGridSolve:
             else:
                 # A kernel this large overflows the sweep itself; only the
                 # range check is under test.
-                with np.errstate(over="ignore", invalid="ignore"):
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                     solve()
 
     def test_matches_individual_solves_across_a_wide_column(self):
@@ -193,13 +236,7 @@ class TestGridSolve:
         assert np.exp(0.5 * (phi - phi.max(axis=0))).min() < np.exp(-299.0)
         batch = solve_ae_grid(spec, phi, grid)
         assert batch.converged
-        for g in range(grid.shape[0]):
-            single = solve_ae(spec, phi, grid[g])
-            assert np.abs(batch.matched[g] - single.matching.matched).max() < 1e-9
-            assert np.abs(batch.unmatched_workers[g] - single.matching.unmatched_workers).max() < 1e-9
-            assert np.abs(batch.unmatched_slots[g] - single.matching.unmatched_slots).max() < 1e-9
-            masses = region_masses(single.matching, spec)
-            assert np.abs(batch.region_mass[g] - masses).max() < 1e-9
+        assert_priced_like_solve_ae(batch, spec, phi, 1e-9)
 
     def test_one_point_grid_matches_solve_ae(self, example_market):
         spec, phi = example_market
@@ -207,62 +244,41 @@ class TestGridSolve:
         batch = solve_ae_grid(spec, phi, w[None, :])
         single = solve_ae(spec, phi, w)
         assert batch.iterations == single.diagnostics.inner_iterations
-        assert np.abs(batch.matched[0] - single.matching.matched).max() < 1e-12
-        assert np.abs(batch.unmatched_workers[0] - single.matching.unmatched_workers).max() < 1e-12
-        assert np.abs(batch.unmatched_slots[0] - single.matching.unmatched_slots).max() < 1e-12
+        assert_priced_like_solve_ae(batch, spec, phi, 1e-12)
 
     @pytest.mark.parametrize("capped", [False, True])
     def test_blocks_join_at_their_seams(self, example_market, capped, monkeypatch):
-        # Blocks of four rows: 0-3, 4-7 and 8-10. The near-saturated middle
-        # block needs the most sweeps; capped at 20 it alone does not converge.
+        # Three batches of four points; the near-saturated middle batch needs
+        # the most sweeps, and the last batch starts from its solution. Capped
+        # at 20 sweeps it does not converge.
         spec, phi = example_market
-        grid = np.column_stack([np.linspace(-1.0, 2.0, 11), np.linspace(0.5, -0.5, 11)])
+        grid = np.column_stack([np.linspace(-1.0, 2.0, 12), np.linspace(0.5, -0.5, 12)])
         grid[4:8] = [[-20.0, -20.0], [-30.0, 5.0], [-40.0, -40.0], [-25.0, -35.0]]
-        monkeypatch.setattr(ae, "_GRID_BLOCK", 4)
+        ipfp, batches = ae._ipfp, []
+
+        def recording_ipfp(n, m, kernel, a0, b0, scale):
+            batches.append((a0, b0, ipfp(n, m, kernel, a0, b0, scale)))
+            return batches[-1][-1]
+
+        monkeypatch.setattr(ae, "_ipfp", recording_ipfp)
         if capped:
             monkeypatch.setattr(ae, "MAX_ITERATIONS", 20)
-        batch = solve_ae_grid(spec, phi, grid)
-        blocks = [solve_ae_grid(spec, phi, grid[rows]) for rows in (slice(0, 4), slice(4, 8), slice(8, 11))]
-        assert len({block.iterations for block in blocks}) == 3
-        assert batch.iterations == max(block.iterations for block in blocks)
-        assert batch.residual == max(block.residual for block in blocks)
-        assert batch.converged == all(block.converged for block in blocks)
+        batch = solve_ae_grid(spec, phi, grid.reshape(3, 4, 2))
+        assert len(batches) == 3 and batches[0][0] is None
+        for (_, _, (a, b, _, _)), (a0, b0, _) in zip(batches, batches[1:]):
+            assert np.array_equal(a0, a) and np.array_equal(b0, b)
+        sweeps = [iterations for *_, (_, _, iterations, _) in batches]
+        assert sweeps[1] == max(sweeps) == batch.iterations
+        assert batch.residual == max(residual for *_, (_, _, _, residual) in batches)
         assert batch.converged != capped
-        assert np.array_equal(batch.region_mass, np.concatenate([block.region_mass for block in blocks]))
-        for g in () if capped else (3, 4, 7, 8):
-            masses = region_masses(solve_ae(spec, phi, grid[g]).matching, spec)
-            assert np.abs(batch.region_mass[g] - masses).max() < 1e-9
+        assert np.array_equal(batch.taxes, grid)
+        monkeypatch.undo()
+        if not capped:
+            # The closed-form value is first-order in the unmatched masses'
+            # residual, which near saturation meets log factors of about 40.
+            assert_priced_like_solve_ae(batch, spec, phi, 1e-9, welfare_tol=1e-8)
 
-    def test_worker_count_changes_nothing(self, example_market, monkeypatch):
-        spec, phi = example_market
-        grid = np.column_stack([np.linspace(-3.0, 3.0, 17), np.linspace(1.0, -1.0, 17)])
-        monkeypatch.setattr(ae, "_GRID_BLOCK", 4)
-        workers = []
-
-        class RecordingPool(ae.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                workers.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(ae, "ThreadPoolExecutor", RecordingPool)
-        solutions = []
-        for cpus in ({0}, {0, 1, 2, 3}):
-            monkeypatch.setattr(ae.os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
-            solutions.append(solve_ae_grid(spec, phi, grid))
-        # Without an affinity mask the CPU count is used.
-        monkeypatch.delattr(ae.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(ae.os, "cpu_count", lambda: 3)
-        solutions.append(solve_ae_grid(spec, phi, grid))
-        assert workers == [1, 4, 3]
-        first = solutions[0]
-        for other in solutions[1:]:
-            for name, value in vars(first).items():
-                if isinstance(value, np.ndarray):
-                    assert np.array_equal(value, getattr(other, name)), name
-                else:
-                    assert value == getattr(other, name), name
-
-    def test_blocks_run_under_the_callers_error_state(self, example_market, monkeypatch):
+    def test_runs_under_the_callers_error_state(self, example_market, monkeypatch):
         spec, phi = example_market
         ipfp = ae._ipfp
 
@@ -276,6 +292,18 @@ class TestGridSolve:
         with np.errstate(over="ignore"), warnings.catch_warnings():
             warnings.simplefilter("error")
             assert solve_ae_grid(spec, phi, np.zeros((3, 2))).converged
+
+    @settings(max_examples=60, deadline=None)
+    @given(gridded_markets())
+    def test_closed_form_pricing_matches_separate_solves(self, case):
+        spec, phi, grid = case
+        batch = solve_ae_grid(spec, phi, grid)
+        assert batch.converged
+        for g, w in enumerate(batch.taxes):
+            single = solve_ae(spec, phi, w)
+            assert single.diagnostics.converged
+            welfare = matching_value(single.matching, phi, spec)
+            assert abs(batch.social_welfare[g] - welfare) <= 1e-8 * max(1.0, abs(welfare))
 
 
 def one_region_market(n, m, phi):

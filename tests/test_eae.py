@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import random_constrained_market, random_market
-from oracles import descent_taxes_under_quotas
+from oracles import descent_taxes_under_quotas, sweep_grid_matchings
 from quotamatch import ae, eae
-from quotamatch.ae import FixedPoint, solve_ae, solve_ae_grid
+from quotamatch.ae import FixedPoint, solve_ae
 from quotamatch.eae import (
     InfeasibleQuotaError,
     dual_value,
@@ -239,11 +239,9 @@ class TestRandomInstances:
         best = solve_eae(spec, phi)
         best_welfare = matching_value(best.matching, phi, spec)
         grid = np.arange(-2.0, 3.0, 1e-3)[:, None]
-        batch = solve_ae_grid(spec, phi, grid)
-        ok = (batch.region_mass[:, 0] >= 0.2 - 1e-9) & (batch.region_mass[:, 0] <= 0.4 + 1e-9)
-        for g in np.flatnonzero(ok):
-            w = matching_value(batch.matching(g), phi, spec)
-            assert best_welfare >= w - 1e-7
+        for mu in sweep_grid_matchings(spec, phi, grid):
+            if 0.2 - 1e-9 <= mu.matched.sum() <= 0.4 + 1e-9:
+                assert best_welfare >= matching_value(mu, phi, spec) - 1e-7
 
 
 class TestConicOracle:

@@ -195,20 +195,24 @@ class TestTaxGrid:
             dict(zip(slots, regions)), np.full(4, np.inf), np.zeros(4),
         )
         grid = tax_grid(spec, "z3", taxes, subsidies)
-        assert grid.shape == (3 * 3**3, 4)
-        # Rows in itertools.product order over (capped, z1, z2, z4).
-        assert grid[:, [2, 0, 1, 3]].tolist() == [
+        # One batch per capped-region tax, each holding every subsidy vector.
+        assert grid.shape == (3, 3**3, 4)
+        assert [set(batch[:, 2]) for batch in grid] == [{t} for t in taxes]
+        # Flattened, rows in itertools.product order over (capped, z1, z2, z4).
+        rows = grid.reshape(-1, 4)
+        assert rows[:, [2, 0, 1, 3]].tolist() == [
             list(p) for p in itertools.product(taxes, subsidies, subsidies, subsidies)
         ]
-        assert len({tuple(row) for row in grid}) == grid.shape[0]
+        assert len({tuple(row) for row in rows}) == rows.shape[0]
 
     def test_three_region_default_keeps_its_layout(self):
         spec, _ = gen_jrmp_market(0)
         grid = tax_grid(spec, "z1", BB_TAX_AXIS, BB_SUBSIDY_AXIS)
-        assert grid.shape == (21**3, 3)
-        assert grid[1].tolist() == [0.0, -0.2, -0.19]
-        assert grid[21].tolist() == [0.0, -0.19, -0.2]
-        assert grid[-1].tolist() == [10.0, 0.0, 0.0]
+        assert grid.shape == (21, 21**2, 3)
+        assert grid[0, 1].tolist() == [0.0, -0.2, -0.19]
+        assert grid[0, 21].tolist() == [0.0, -0.19, -0.2]
+        assert grid[1, 0].tolist() == [0.5, -0.2, -0.2]
+        assert grid[-1, -1].tolist() == [10.0, 0.0, 0.0]
 
 
 class TestBench:

@@ -1,4 +1,3 @@
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -147,8 +146,8 @@ _MASS = st.one_of(
 
 
 @st.composite
-def stacked_matchings(draw):
-    g, n_types, m_types = (draw(st.integers(1, 3)) for _ in range(3))
+def matchings(draw):
+    n_types, m_types = (draw(st.integers(1, 3)) for _ in range(2))
 
     def block(*shape):
         size = int(np.prod(shape))
@@ -160,31 +159,20 @@ def stacked_matchings(draw):
     phi = np.array(
         draw(st.lists(st.floats(-10.0, 10.0), min_size=n_types * m_types, max_size=n_types * m_types))
     ).reshape(n_types, m_types)
-    stacked = SimpleNamespace(
-        matched=block(g, n_types, m_types),
-        unmatched_workers=block(g, n_types),
-        unmatched_slots=block(g, m_types),
-    )
-    return make_spec(n, m), phi, stacked
+    mu = Matching(block(n_types, m_types), block(n_types), block(m_types))
+    return make_spec(n, m), phi, mu
 
 
 class TestMatchingValue:
     @settings(max_examples=200, deadline=None)
-    @given(stacked_matchings())
-    def test_stacked_zero_subnormal_and_entropy_agreement(self, case):
-        spec, phi, stacked = case
-        values = matching_value(stacked, phi, spec)
-        assert values.shape == stacked.matched.shape[:1]
-        assert np.isfinite(values).all()
-        for g, value in enumerate(values):
-            mu = Matching(
-                stacked.matched[g], stacked.unmatched_workers[g], stacked.unmatched_slots[g]
-            )
-            single = matching_value(mu, phi, spec)
-            assert single == pytest.approx(value, rel=1e-12, abs=1e-9)
-            surplus = float((mu.matched * phi).sum())
-            entropy = matching_value(mu, 0.0, spec)
-            assert single == pytest.approx(surplus + entropy, rel=1e-12, abs=1e-9)
+    @given(matchings())
+    def test_zero_subnormal_and_entropy_agreement(self, case):
+        spec, phi, mu = case
+        value = matching_value(mu, phi, spec)
+        assert np.isfinite(value)
+        surplus = float((mu.matched * phi).sum())
+        entropy = matching_value(mu, 0.0, spec)
+        assert value == pytest.approx(surplus + entropy, rel=1e-12, abs=1e-9)
 
 
 class TestConvexAnalysis:

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import sweep_grid_matchings
 from quotamatch.ae import solve_ae, solve_ae_grid
 from quotamatch.eae import InfeasibleQuotaError, solve_eae
 from quotamatch.experiments import (
@@ -12,6 +13,7 @@ from quotamatch.experiments import (
     UPPER_BOUND_GRID,
     JrmpConfig,
     gen_jrmp_market,
+    policy_record,
     sweep_policies,
 )
 from quotamatch.logit import matching_value
@@ -183,17 +185,16 @@ class TestBudgetBalancedPolicy:
         grid = default_grid(spec)
         gs = solve_ae_grid(spec, phi, grid)
         [chosen] = bbae(spec, phi, [FLOORS], grid)
-        # Brute-force re-evaluation of every kept grid point.
+        # Brute-force re-evaluation of every kept grid point, on the
+        # independent sweep's matchings.
         best = -np.inf
-        for g in range(grid.shape[0]):
-            mu = gs.matching(g)
-            w = gs.taxes[g]
-            w_slot = w[spec.slot_region_index]
+        for g, mu in enumerate(sweep_grid_matchings(spec, phi.phi, gs.taxes)):
+            w_slot = gs.taxes[g][spec.slot_region_index]
             pm = float((mu.matched * w_slot[None, :]).sum())
             social = matching_value(mu, phi.phi, spec)
-            # The grid prices every point once, as this loop does.
-            assert gs.revenue[g] == pytest.approx(pm, rel=0, abs=1e-12)
-            assert gs.social_welfare[g] == pytest.approx(social, rel=0, abs=1e-12)
+            # The grid's closed-form prices agree with the sweep's.
+            assert gs.revenue[g] == pytest.approx(pm, rel=0, abs=1e-9)
+            assert gs.social_welfare[g] == pytest.approx(social, rel=0, abs=1e-9)
             masses = region_masses(mu, spec)
             if pm < -1e-12 or masses[1] < 0.2 - 1e-8 or masses[2] < 0.2 - 1e-8:
                 continue
@@ -282,6 +283,52 @@ class TestSweepSolves:
         assert {r.search_parameter for r in by_policy["cap_reduced"]} == {CAP_GRID[0]}
         winners = {r.search_parameter.tobytes() for r in by_policy["bbae"]}
         assert calls == {"solve_eae": 1, "solve_ae": 1 + len(winners)}
+
+    def test_infeasible_scan_outcome_reused_at_higher_level(self, jrmp, monkeypatch):
+        # No cap and no capacity meets the floors at 0.45, so none meets them
+        # at 0.49, and the scans' fallback does not depend on the floors: the
+        # second level runs no candidate solve.
+        solves = []  # the floor of every candidate solve inside a scan
+        scanning = []
+
+        def at_level(scan):
+            def wrapper(spec, phi, floors, grid, region):
+                scanning.append(floors["z2"])
+                try:
+                    return scan(spec, phi, floors, grid, region)
+                finally:
+                    scanning.pop()
+
+            return wrapper
+
+        def counted(solve):
+            def wrapper(*args, **kwargs):
+                solves.extend(scanning)
+                return solve(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr("quotamatch.experiments.eae_upper_bound", at_level(eae_upper_bound))
+        monkeypatch.setattr("quotamatch.experiments.cap_reduced_ae", at_level(cap_reduced_ae))
+        monkeypatch.setattr("quotamatch.policies.solve_eae", counted(solve_eae))
+        monkeypatch.setattr("quotamatch.policies.solve_ae", counted(solve_ae))
+        spec, phi = jrmp
+        levels = (0.45, 0.49)
+        sweep = sweep_policies(spec, phi, levels, "z1", ("z2", "z3"))
+        assert solves == [0.45] * (len(UPPER_BOUND_GRID) + len(CAP_GRID))
+        monkeypatch.undo()
+        floors = {"z2": 0.49, "z3": 0.49}
+        fresh = [
+            eae_upper_bound(spec, phi, floors, UPPER_BOUND_GRID, "z1"),
+            cap_reduced_ae(spec, phi, floors, CAP_GRID, "z1"),
+        ]
+        scanned = [r for r in sweep[1] if r.policy in ("eae_upper_bound", "cap_reduced")]
+        assert [r.feasible for r in scanned] == [False, False]
+        for swept, want in zip(scanned, fresh):
+            assert_same_result(swept, want)
+            assert policy_record(0.49, None, swept, spec, "z1", ("z2", "z3")) == policy_record(
+                0.49, None, want, spec, "z1", ("z2", "z3")
+            )
 
 
 class TestOrderingCheck:
