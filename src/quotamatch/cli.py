@@ -6,10 +6,11 @@ input (KernelRangeError: surplus minus tax too large for exp), 2 when a
 solver fails to converge or a verification fails, 3 when quotas are
 infeasible.
 
-``estimate`` fits by BFGS with the exact gradient of the KL criterion. It
-exits 0 when the fit reaches the KL tolerance or a stationary point (the
-best fit of data the model cannot reproduce exactly), and 2 when the
-evaluation budget runs out, the search stalls, or an inner solve fails.
+``estimate`` fits by Fisher scoring on the KL criterion. It exits 0 when
+the fit reaches the KL tolerance or a stationary point (the best fit of data
+the model cannot reproduce exactly), and 2 when the evaluation budget runs
+out, the search stalls (no halving of a step lowers the KL), or an inner
+solve fails.
 
 ``counterfactual`` runs the experiment harness's per-floor policy sweep
 (:func:`quotamatch.experiments.sweep_policies`) on one market. Its

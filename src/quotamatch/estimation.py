@@ -8,13 +8,14 @@ the observed and implied matching distributions over type pairs. Minimizing
 that divergence is equivalent to maximizing the multinomial log likelihood of
 the observed matches.
 
-The outer search is BFGS with the exact gradient of the divergence: the
+The outer search is Fisher scoring, a Newton step on the coefficients with
+the multinomial information matrix, halved until the divergence falls. The
 surplus is linear in the coefficients, so each coefficient is one direction
-of :meth:`quotamatch.ae.FixedPoint.tangent`, and one linear solve per
-evaluation differentiates the implied matching in all of them. BFGS keeps one
+of :meth:`quotamatch.ae.FixedPoint.tangent`, and one linear solve per step
+differentiates the implied matching in all of them. The search keeps one
 :class:`~quotamatch.ae.FixedPoint`, so each evaluation warm-starts from the
-solution of the previous one (Rust, *Econometrica* 1987), and once BFGS takes
-short steps an inner solve needs a sweep or two.
+solution of the previous one (Rust, *Econometrica* 1987), and near the
+optimum an inner solve needs a sweep or two.
 
 Taxes are held fixed at their observed values throughout. Observed matchings
 must be strictly positive on every type pair; zero cells are rejected rather
@@ -30,9 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
-from .ae import FixedPoint, solve_ae
+from .ae import POPULATION_TOLERANCE, FixedPoint, solve_ae
 from .market import (
     Matching,
     MarketSpec,
@@ -57,8 +57,8 @@ __all__ = [
 KL_TOLERANCE = 1e-10
 #: cap on the objective evaluations of one fit
 MAX_OUTER_EVALS = 5000
-#: sup-norm of the KL gradient at which BFGS stops; the gradient's noise
-#: floor, set by the fixed point's population tolerance, is about 1e-9
+#: sup-norm of the KL gradient at which the search stops; on noisy data it
+#: can bottom out above this, where the noise rule of ``estimate`` stops it
 _GRADIENT_TOLERANCE = 1e-8
 
 
@@ -171,33 +171,26 @@ def log_likelihood(
     return float((obs * np.log(sim / sim.sum())).sum())
 
 
-class _StopSearch(Exception):
-    pass
+def _kl_gradient(p: np.ndarray, fp: FixedPoint, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact gradient and Fisher information of the divergence in the
+    coefficients at a solved fixed point.
 
-
-def _kl_gradient(p: np.ndarray, fp: FixedPoint, c: np.ndarray) -> np.ndarray:
-    """Exact gradient in the coefficients of the divergence at a solved fixed point.
-
-    With ``p`` the normalized observed pair vector and q the normalized
-    simulated one, dKL = sum((q - p) dlog sim). Coefficient s moves surplus by
-    c[..., s], so dlog mu_xy = da_x/a_x + db_y/b_y + c_xys/2,
-    dlog mu_x0 = 2 da_x/a_x and dlog mu_0y = 2 db_y/b_y, where a, b are the
-    square roots of the unmatched masses.
+    With ``p`` the normalized observed pair vector, q the simulated one and
+    G = dlog sim/dlambda, they are G'(q - p) and G'diag(q)G - (G'q)(G'q)'.
+    Coefficient s moves surplus by c[..., s], so dlog mu_xy = da_x/a_x +
+    db_y/b_y + c_xys/2, dlog mu_x0 = 2 da_x/a_x and dlog mu_0y = 2 db_y/b_y,
+    where a, b are the square roots of the unmatched masses.
     """
     mu = fp.matching()
-    matched = mu.matched
     half_c = 0.5 * c
-    r = np.einsum("xy,xys->xs", matched, half_c)
-    s = np.einsum("xy,xys->ys", matched, half_c)
-    da, db = fp.tangent(r, s)
-    n, m = matched.shape
-    excess = _pair_vector(mu) / mu.total() - p
-    pair = excess[: n * m].reshape(n, m)
-    return (
-        (pair.sum(axis=1) + 2.0 * excess[n * m : n * m + n]) @ (da / fp.a[:, None])
-        + (pair.sum(axis=0) + 2.0 * excess[n * m + n :]) @ (db / fp.b[:, None])
-        + np.einsum("xy,xys->s", pair, half_c)
+    da, db = fp.tangent(
+        np.einsum("xy,xys->xs", mu.matched, half_c), np.einsum("xy,xys->ys", mu.matched, half_c)
     )
+    da, db = da / fp.a[:, None], db / fp.b[:, None]
+    G = np.concatenate([(da[:, None] + db[None] + half_c).reshape(-1, c.shape[2]), 2.0 * da, 2.0 * db])
+    q = _pair_vector(mu) / mu.total()
+    u = q @ G
+    return (q - p) @ G, G.T @ (q[:, None] * G) - np.outer(u, u)
 
 
 def estimate(
@@ -206,63 +199,67 @@ def estimate(
     taxes,
     spec: MarketSpec,
 ) -> tuple[SurplusModel, FitReport]:
-    """Fit surplus coefficients to an observed matching.
+    """Fit surplus coefficients to an observed matching by Fisher scoring.
 
-    Runs BFGS from zero coefficients with the exact gradient of the
-    divergence and returns the best coefficients found together with the
-    search trace. The fit is converged when the divergence falls to
-    ``KL_TOLERANCE`` ("kl tolerance reached") or BFGS reaches a stationary
-    point, its gradient's sup-norm at most 1e-8 ("stationary point").
-    Otherwise it is not, and the message says why: "evaluation budget
-    exhausted" after ``MAX_OUTER_EVALS`` evaluations, or "stalled: " and
-    BFGS's own message.
+    Starts from zero coefficients, halves each step until the divergence
+    falls, and returns the last (best) coefficients with the search trace.
+    The fit is converged at a divergence of ``KL_TOLERANCE`` ("kl tolerance
+    reached") or at a stationary point ("stationary point"): a gradient
+    sup-norm of at most 1e-8, or a full step that fails while the decrease
+    it predicts is within the divergence's noise. Otherwise the message says
+    why not: "evaluation budget exhausted" after ``MAX_OUTER_EVALS``
+    evaluations, trial steps included, or "stalled" when no halving of a
+    step lowers the divergence.
     """
     obs = _pair_vector(observed)
     if np.any(obs <= 0.0):
         raise ValueError("observed matching must be strictly positive on every type pair")
     p = obs / obs.sum()
     w = as_tax_array(taxes, spec)
-    x0 = np.zeros(c.num_features)
-
     report = FitReport()
-    best = {"kl": np.inf, "lam": x0.copy()}
     fp = FixedPoint(spec)
 
-    def objective(lam: np.ndarray) -> tuple[float, np.ndarray]:
+    def evaluate(lam: np.ndarray) -> float:
         if not fp.solve(surplus_from_covariates(SurplusModel(lam), c), w).converged:
             raise EstimationError(f"inner solve did not converge at coefficients {lam.tolist()}")
-        kl = kl_divergence(observed, fp.matching())
         report.n_evals += 1
-        if kl < best["kl"]:
-            best["kl"] = kl
-            best["lam"] = np.array(lam)
-        report.kl_trace.append(best["kl"])
-        if best["kl"] <= KL_TOLERANCE or report.n_evals >= MAX_OUTER_EVALS:
-            raise _StopSearch
-        return kl, _kl_gradient(p, fp, c.c)
+        return kl_divergence(observed, fp.matching())
 
-    search = None
-    try:
-        search = optimize.minimize(
-            objective,
-            x0,
-            method="BFGS",
-            jac=True,
-            options={"gtol": _GRADIENT_TOLERANCE, "maxiter": MAX_OUTER_EVALS},
-        )
-    except _StopSearch:
-        pass
+    # Each type's mass is met to within the population tolerance, moving the
+    # log of its cells by up to twice that over its mass; against q - p, of
+    # 1-norm at most sqrt(2 KL) (Pinsker), that bounds the divergence's noise.
+    log_noise = 2.0 * POPULATION_TOLERANCE / min(spec.n.min(), spec.m.min())
+    lam = np.zeros(c.num_features)
+    kl = evaluate(lam)
+    report.kl_trace.append(kl)
+    step = None
+    while not report.message:
+        if step is None and kl > KL_TOLERANCE:
+            gradient, information = _kl_gradient(p, fp, c.c)
+            step, alpha = np.linalg.lstsq(information, gradient, rcond=None)[0], 1.0
+        if kl <= KL_TOLERANCE:
+            report.message = "kl tolerance reached"
+        elif np.abs(gradient).max() <= _GRADIENT_TOLERANCE:
+            report.message = "stationary point"
+        elif report.n_evals >= MAX_OUTER_EVALS:
+            report.message = "evaluation budget exhausted"
+        elif np.array_equal(lam - alpha * step, lam):
+            report.message = "stalled"
+        else:
+            trial = lam - alpha * step
+            trial_kl = evaluate(trial)
+            report.kl_trace.append(min(kl, trial_kl))
+            if trial_kl < kl:
+                lam, kl, step = trial, trial_kl, None
+            elif alpha == 1.0 and 0.5 * gradient @ step <= log_noise * np.sqrt(2.0 * kl):
+                # The decrease the full step predicts is lost in the noise.
+                report.message = "stationary point"
+            else:
+                alpha *= 0.5
 
-    report.final_kl = best["kl"]
-    if best["kl"] <= KL_TOLERANCE:
-        report.converged, report.message = True, "kl tolerance reached"
-    elif search is None:
-        report.message = "evaluation budget exhausted"
-    elif search.success:
-        report.converged, report.message = True, "stationary point"
-    else:
-        report.message = f"stalled: {search.message}"
-    return SurplusModel(best["lam"]), report
+    report.final_kl = kl
+    report.converged = report.message in ("kl tolerance reached", "stationary point")
+    return SurplusModel(lam), report
 
 
 def load_covariates(path, spec: MarketSpec) -> CovariateBasis:

@@ -19,7 +19,6 @@ gamma * (total worker mass + total slot mass); see
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import xlogy
 
 from .market import MarketSpec, as_surplus_array
 
@@ -106,8 +105,9 @@ def matching_value(mu, phi, spec: MarketSpec) -> float:
 
 
 def _xlog_share(rows: np.ndarray, mass: np.ndarray) -> np.ndarray:
-    # rows * log(rows / mass) per type row. A positive mass whose share
-    # underflows to zero has a term below 1e-320, which is taken as 0.
+    # rows * log(rows / mass) per type row: 0 for a zero mass or one whose
+    # share underflows (a term below 1e-320), nan for a negative mass.
     share = rows / mass[:, None]
     share[share == 0.0] = 1.0
-    return xlogy(rows, share)
+    with np.errstate(invalid="ignore"):
+        return rows * np.log(share)

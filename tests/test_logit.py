@@ -1,4 +1,6 @@
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -173,6 +175,35 @@ class TestMatchingValue:
         surplus = float((mu.matched * phi).sum())
         entropy = matching_value(mu, 0.0, spec)
         assert value == pytest.approx(surplus + entropy, rel=1e-12, abs=1e-9)
+
+    def test_zero_and_underflowed_masses_price_to_zero(self):
+        spec = make_spec([1e3, 1.0], [1e3])
+        zero = Matching(np.zeros((2, 1)), np.zeros(2), np.zeros(1))
+        assert matching_value(zero, 1.0, spec) == 0.0
+        # 5e-324 / 1e3 underflows to a zero share.
+        tiny = Matching(np.array([[5e-324], [0.0]]), np.zeros(2), np.zeros(1))
+        assert matching_value(tiny, 0.0, spec) == 0.0
+
+    def test_negative_mass_gives_nan_without_warning(self):
+        spec = make_spec([1.0], [1.0])
+        mu = Matching(np.array([[-0.5]]), np.array([1.5]), np.array([1.5]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(matching_value(mu, 0.0, spec))
+
+    def test_agrees_with_xlogy_reference_on_random_rows(self):
+        rng = np.random.default_rng(43)
+        for _ in range(50):
+            mu = Matching(rng.uniform(0.0, 2.0, (4, 5)), rng.uniform(0.0, 2.0, 4), rng.uniform(0.0, 2.0, 5))
+            n = mu.matched.sum(axis=1) + mu.unmatched_workers
+            m = mu.matched.sum(axis=0) + mu.unmatched_slots
+            worker_rows = np.column_stack([mu.unmatched_workers, mu.matched])
+            slot_rows = np.column_stack([mu.unmatched_slots, mu.matched.T])
+            reference = -(
+                xlogy(worker_rows, worker_rows / n[:, None]).sum()
+                + xlogy(slot_rows, slot_rows / m[:, None]).sum()
+            )
+            assert matching_value(mu, 0.0, make_spec(n, m)) == pytest.approx(reference, rel=1e-15)
 
 
 class TestConvexAnalysis:

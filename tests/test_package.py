@@ -1,6 +1,9 @@
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import quotamatch
@@ -62,3 +65,37 @@ def test_no_module_reaches_into_private_names():
             ):
                 reaching.add((path.name, f"{node.value.id}.{node.attr}"))
     assert reaching == BOUNDARY_EXCEPTIONS
+
+
+def test_importing_the_package_loads_no_scipy():
+    # numpy is the one runtime dependency; scipy serves the test oracles only.
+    src = Path(quotamatch.__file__).parent.parent
+    code = (
+        "import importlib, pkgutil, sys, quotamatch\n"
+        "for info in pkgutil.iter_modules(quotamatch.__path__):\n"
+        "    if not info.name.startswith('_'):\n"
+        "        importlib.import_module(f'quotamatch.{info.name}')\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_no_module_imports_scipy():
+    package = Path(quotamatch.__file__).parent
+    importing = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            importing |= {(path.name, name) for name in names if name.split(".")[0] == "scipy"}
+    assert importing == set()
