@@ -24,9 +24,11 @@ from the last: :func:`solve_ae` is one cold solve, and the outer searches of
 :mod:`quotamatch.eae` and :mod:`quotamatch.estimation` keep one throughout.
 
 :func:`solve_ae_grid` solves a grid of tax vectors on one thread, in batches
-of points swept in lockstep, each batch warm-started from the last. It
-prices every point in closed form from its unmatched masses, so no grid
-point's matching is ever formed.
+of points swept in lockstep. Each batch is warm-started from the last, or,
+where the batches step evenly, from the log-linear extrapolation of the last
+two: a predictor-corrector continuation along the step. It prices every
+point in closed form from its unmatched masses, so no grid point's matching
+is ever formed.
 
 A solve is converged once its worst absolute population residual is at most
 ``POPULATION_TOLERANCE`` (1e-10); ``MAX_ITERATIONS`` (10,000) caps its sweeps.
@@ -99,7 +101,7 @@ def build_kernel(phi, taxes, spec: MarketSpec) -> np.ndarray:
     return kernel
 
 
-def _ipfp(n, m, kernel, a0=None, b0=None, scale=1.0):
+def _ipfp(n, m, kernel, b0=None, scale=1.0):
     """Run the alternating fixed point on the kernel ``kernel * scale``.
 
     ``kernel`` is (N, M). With the default scalar ``scale`` this solves one
@@ -107,6 +109,7 @@ def _ipfp(n, m, kernel, a0=None, b0=None, scale=1.0):
     per-column factor, each half-sweep being one (G, M) x (M, N) product.
     Returns (a, b, iterations, residual) where a*a and b*b are the unmatched
     masses; residual is the worst population residual over every market.
+    ``b0`` is the warm start: the first half-sweep computes ``a`` from it.
     The slot side is exact after every sweep by construction, so the
     residual is dominated by the worker side.
 
@@ -125,7 +128,6 @@ def _ipfp(n, m, kernel, a0=None, b0=None, scale=1.0):
     residual is flat over many orders of magnitude of a, and only the
     potential registers progress. ``iterations`` counts sweeps.
     """
-    a = np.sqrt(n / 2.0) if a0 is None else np.array(a0, dtype=np.float64)
     b = np.sqrt(m / 2.0) if b0 is None else np.array(b0, dtype=np.float64)
     # Each half-sweep takes the positive root of x**2 + s*x - c = 0 as
     # 2c / (s + hypot(s, 2 sqrt c)), which avoids cancellation when s is large
@@ -265,9 +267,7 @@ class FixedPoint:
         """Solve at surplus ``phi`` and per-region taxes ``w``; returns self."""
         spec = self.spec
         self.kernel = build_kernel(phi, w, spec)
-        self.a, self.b, iterations, self.residual = _ipfp(
-            spec.n, spec.m, self.kernel, self.a, self.b
-        )
+        self.a, self.b, iterations, self.residual = _ipfp(spec.n, spec.m, self.kernel, self.b)
         self.iterations += iterations
         return self
 
@@ -388,9 +388,14 @@ def solve_ae_grid(spec: MarketSpec, phi, tax_grid) -> GridSolution:
     The points of a batch are advanced in lockstep, its iteration stopping
     when the worst residual across the batch meets the tolerance, and each
     point agrees with its separate solve to the population tolerance. Each
-    batch starts from the previous one's solution, point by point; along
-    :func:`~quotamatch.policies.tax_grid`'s batches only the capped region's
-    tax moves, so a few sweeps suffice. Every kernel factors as
+    batch starts from the previous one's slot roots b_t (square roots of the
+    unmatched slot masses), point by point. Where its step repeats the
+    previous batch's step, it starts instead from the log-linear
+    extrapolation b_t**2 / b_(t-1) of the last two batches' roots, or from
+    b_t wherever that is not finite and positive. Along
+    :func:`~quotamatch.policies.tax_grid`'s batches one floor region's
+    subsidy moves by one step of its axis; on the harness's evenly spaced
+    axis one sweep suffices from the third batch on. Every kernel factors as
     ``base * scale_g`` with ``base = exp((phi - top) / 2) <= 1`` (``top`` the
     column maxima of phi) and ``scale_g = exp((top - w_g) / 2)``, so one
     ``base`` serves the whole grid; the exponent of ``scale_g`` is the largest
@@ -414,10 +419,16 @@ def solve_ae_grid(spec: MarketSpec, phi, tax_grid) -> GridSolution:
     if exponent.max() > _EXP_LIMIT:
         raise KernelRangeError("kernel exponent out of range somewhere on the tax grid")
     base = np.exp(0.5 * (phi_arr - top[None, :]))
-    a = b = None
+    b = None
     roots, iterations, residual = [], 0, 0.0
-    for scale in np.exp(exponent):
-        a, b, sweeps, worst = _ipfp(spec.n, spec.m, base, a, b, scale)
+    for t, scale in enumerate(np.exp(exponent)):
+        start = b
+        if t >= 2 and np.allclose(batches[t] - batches[t - 1], batches[t - 1] - batches[t - 2]):
+            # b_t**2 / b_(t-1); squaring b first would underflow below 1e-162
+            with np.errstate(all="ignore"):
+                guess = b * (b / roots[-2][1])
+            start = np.where(np.isfinite(guess) & (guess > 0.0), guess, b)
+        a, b, sweeps, worst = _ipfp(spec.n, spec.m, base, start, scale)
         roots.append((a, b))
         iterations, residual = max(iterations, sweeps), max(residual, worst)
     a, b = (np.concatenate(side) for side in zip(*roots))

@@ -18,9 +18,9 @@ budget-balance grid (:func:`quotamatch.policies.tax_grid`) has
 |tax grid| * |subsidy grid|**(L-1) points for L regions and is rejected
 (exit 1) before any solve when too large; :func:`quotamatch.policies.bbae`
 solves it once for all floor levels, on one thread, in batches warm-started
-along the tax axis, and prices each point in closed form. A floor level the
-optimal tax cannot meet gives exit 3; its other three policy rows are still
-written.
+along the last floor region's subsidy axis, and prices each point in closed
+form. A floor level the optimal tax cannot meet gives exit 3; its other
+three policy rows are still written.
 
 ``experiment --jobs K`` runs the replications on K worker processes; it is
 the only parallelism, and every process is single-threaded.

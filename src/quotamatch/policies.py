@@ -26,7 +26,6 @@ the policy ordering whenever floors bind.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -185,13 +184,20 @@ def tax_grid(
     """Cartesian budget-balance grid: the tax axis on the capped region, its
     own copy of the subsidy axis on every other region.
 
-    Returns shape (T, P, L): one batch of P = |subsidy axis|**(L-1) rows per
-    value of the tax axis, T = |tax axis| batches. Flattened, the rows run in
-    ``itertools.product`` order over the capped region first and then the
-    others in region order. A grid whose rows times worker and slot types
-    exceed ``MAX_GRID_ENTRIES`` is rejected before it is built.
+    Returns shape (S, P, L), one batch per value of the last floor region's
+    subsidy axis (the last region other than the capped one), S = |subsidy
+    axis| batches of P = |tax axis| * |subsidy axis|**(L-2) rows. Flattened,
+    the rows run in product order over the last floor region first, then
+    the capped region, then the other floor regions in region order. With
+    L = 1 it is one row per tax, shape (|tax axis|, 1, 1). A grid whose rows
+    times worker and slot types exceed ``MAX_GRID_ENTRIES`` is rejected
+    before it is built, as is an empty axis that the grid uses.
     """
     num_regions = spec.num_regions
+    if not len(tax_axis):
+        raise ValueError("budget-balance grid: the tax axis is empty")
+    if num_regions > 1 and not len(subsidy_axis):
+        raise ValueError("budget-balance grid: the subsidy axis is empty")
     points = len(tax_axis) * len(subsidy_axis) ** (num_regions - 1)
     if points * spec.num_workers * spec.num_slots > MAX_GRID_ENTRIES:
         raise ValueError(
@@ -200,12 +206,15 @@ def tax_grid(
             "points times worker and slot types; coarsen the subsidy axis (--subsidy-grid)"
         )
     capped = spec.region_index(capped_region)
-    rows = np.asarray(
-        list(itertools.product(tax_axis, *[subsidy_axis] * (num_regions - 1))), dtype=np.float64
-    )
-    grid = np.empty_like(rows)
-    grid[:, [capped] + [z for z in range(num_regions) if z != capped]] = rows
-    return grid.reshape(len(tax_axis), len(subsidy_axis) ** (num_regions - 1), num_regions)
+    floor_regions = [z for z in range(num_regions) if z != capped]
+    axes = [
+        np.asarray(tax_axis if z == capped else subsidy_axis, dtype=np.float64)
+        for z in range(num_regions)
+    ]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    leading = [floor_regions[-1], capped] if floor_regions else [capped]
+    grid = np.moveaxis(grid, leading, range(len(leading)))
+    return grid.reshape(grid.shape[0], -1, num_regions)
 
 
 def bbae(
@@ -217,12 +226,12 @@ def bbae(
     """Budget-balanced equilibrium over a finite tax grid, one per floor level.
 
     ``grid`` is a (G, L) array of tax vectors or a (T, P, L) stack of
-    batches (:func:`tax_grid`), taken in row order. The zero-constraint
-    equilibrium is solved and priced once at every grid row
-    (:func:`~quotamatch.ae.solve_ae_grid`). For each mapping of target
-    floors the selection keeps rows with nonnegative policymaker revenue
-    whose region masses meet every floor, then maximizes social welfare over
-    the kept set (first maximizer wins, so the reduction is independent of
+    batches (:func:`tax_grid`), taken in row order: flattened, batch after
+    batch. The zero-constraint equilibrium is solved and priced once at
+    every grid row (:func:`~quotamatch.ae.solve_ae_grid`). For each mapping
+    of target floors the selection keeps rows with nonnegative policymaker
+    revenue whose region masses meet every floor, then maximizes social
+    welfare over the kept set (first maximizer wins, so the reduction is independent of
     evaluation order). With an empty kept set it falls back to all
     budget-balanced rows and the result is flagged infeasible, as it is when
     the grid solve did not converge. Each distinct winner is re-solved alone,

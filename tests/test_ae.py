@@ -256,8 +256,8 @@ class TestGridSolve:
         grid[4:8] = [[-20.0, -20.0], [-30.0, 5.0], [-40.0, -40.0], [-25.0, -35.0]]
         ipfp, batches = ae._ipfp, []
 
-        def recording_ipfp(n, m, kernel, a0, b0, scale):
-            batches.append((a0, b0, ipfp(n, m, kernel, a0, b0, scale)))
+        def recording_ipfp(n, m, kernel, b0, scale):
+            batches.append((b0, ipfp(n, m, kernel, b0, scale)))
             return batches[-1][-1]
 
         monkeypatch.setattr(ae, "_ipfp", recording_ipfp)
@@ -265,11 +265,11 @@ class TestGridSolve:
             monkeypatch.setattr(ae, "MAX_ITERATIONS", 20)
         batch = solve_ae_grid(spec, phi, grid.reshape(3, 4, 2))
         assert len(batches) == 3 and batches[0][0] is None
-        for (_, _, (a, b, _, _)), (a0, b0, _) in zip(batches, batches[1:]):
-            assert np.array_equal(a0, a) and np.array_equal(b0, b)
-        sweeps = [iterations for *_, (_, _, iterations, _) in batches]
+        for (_, (_, b, _, _)), (b0, _) in zip(batches, batches[1:]):
+            assert np.array_equal(b0, b)
+        sweeps = [iterations for _, (_, _, iterations, _) in batches]
         assert sweeps[1] == max(sweeps) == batch.iterations
-        assert batch.residual == max(residual for *_, (_, _, _, residual) in batches)
+        assert batch.residual == max(residual for _, (_, _, _, residual) in batches)
         assert batch.converged != capped
         assert np.array_equal(batch.taxes, grid)
         monkeypatch.undo()
@@ -277,6 +277,48 @@ class TestGridSolve:
             # The closed-form value is first-order in the unmatched masses'
             # residual, which near saturation meets log factors of about 40.
             assert_priced_like_solve_ae(batch, spec, phi, 1e-9, welfare_tol=1e-8)
+
+    def test_evenly_spaced_batches_start_from_extrapolated_roots(self, example_market, monkeypatch):
+        # Six batches of three points, each one step of (0.4, -0.2) on from
+        # the last: from the third on, a batch starts from the log-linear
+        # extrapolation b_t**2 / b_(t-1) of the last two batches' roots.
+        spec, phi = example_market
+        points = np.array([[0.0, 0.0], [0.5, -0.1], [2.0, 0.3]])
+        grid = points + 0.4 * np.arange(6)[:, None, None] * np.array([1.0, -0.5])
+        ipfp, starts, roots = ae._ipfp, [], []
+
+        def recording_ipfp(n, m, kernel, b0, scale):
+            result = ipfp(n, m, kernel, b0, scale)
+            starts.append(b0)
+            roots.append(result[1])
+            return result
+
+        monkeypatch.setattr(ae, "_ipfp", recording_ipfp)
+        batch = solve_ae_grid(spec, phi, grid)
+        assert starts[0] is None and np.array_equal(starts[1], roots[0])
+        for t in range(2, 6):
+            assert np.array_equal(starts[t], roots[t - 1] * (roots[t - 1] / roots[t - 2]))
+        monkeypatch.undo()
+        assert batch.converged
+        assert_priced_like_solve_ae(batch, spec, phi, 1e-9)
+
+    def test_extrapolation_out_of_range_falls_back_to_the_last_roots(self, example_market, monkeypatch):
+        # Prescribed roots for three evenly spaced one-point batches: the
+        # extrapolation of the second slot underflows and of the third
+        # overflows, so those two start from the second batch's roots.
+        spec, phi = example_market
+        prescribed = iter([[0.5, 1.0, 1e-200], [0.25, 1e-200, 1e150], [0.2, 0.2, 0.2]])
+        starts = []
+
+        def prescribed_ipfp(n, m, kernel, b0, scale):
+            starts.append(b0)
+            return np.ones((1, n.size)), np.array([next(prescribed)]), 1, 0.0
+
+        monkeypatch.setattr(ae, "_ipfp", prescribed_ipfp)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solve_ae_grid(spec, phi, np.array([[[0.0, 0.0]], [[0.5, 0.1]], [[1.0, 0.2]]]))
+        assert starts[2].tolist() == [[0.125, 1e-200, 1e150]]
 
     def test_runs_under_the_callers_error_state(self, example_market, monkeypatch):
         spec, phi = example_market

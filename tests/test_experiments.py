@@ -185,6 +185,13 @@ class TestSweep:
         assert header == "floor,policy,metric,mean,stderr"
 
 
+def one_region_market():
+    return MarketSpec(
+        ("x1",), ("y1",), ("z1",), np.ones(1), np.ones(1),
+        {"y1": "z1"}, np.full(1, np.inf), np.zeros(1),
+    )
+
+
 class TestTaxGrid:
     def test_four_regions_give_each_floor_region_its_own_subsidy_axis(self):
         taxes, subsidies = (0.0, 1.0, 2.0), (-0.2, -0.1, 0.0)
@@ -195,13 +202,14 @@ class TestTaxGrid:
             dict(zip(slots, regions)), np.full(4, np.inf), np.zeros(4),
         )
         grid = tax_grid(spec, "z3", taxes, subsidies)
-        # One batch per capped-region tax, each holding every subsidy vector.
-        assert grid.shape == (3, 3**3, 4)
-        assert [set(batch[:, 2]) for batch in grid] == [{t} for t in taxes]
-        # Flattened, rows in itertools.product order over (capped, z1, z2, z4).
+        # One batch per subsidy of the last floor region z4, each holding
+        # every capped-region tax and every subsidy of z1 and z2.
+        assert grid.shape == (3, 3 * 3**2, 4)
+        assert [set(batch[:, 3]) for batch in grid] == [{s} for s in subsidies]
+        # Flattened, rows in itertools.product order over (z4, capped, z1, z2).
         rows = grid.reshape(-1, 4)
-        assert rows[:, [2, 0, 1, 3]].tolist() == [
-            list(p) for p in itertools.product(taxes, subsidies, subsidies, subsidies)
+        assert rows[:, [3, 2, 0, 1]].tolist() == [
+            list(p) for p in itertools.product(subsidies, taxes, subsidies, subsidies)
         ]
         assert len({tuple(row) for row in rows}) == rows.shape[0]
 
@@ -209,10 +217,28 @@ class TestTaxGrid:
         spec, _ = gen_jrmp_market(0)
         grid = tax_grid(spec, "z1", BB_TAX_AXIS, BB_SUBSIDY_AXIS)
         assert grid.shape == (21, 21**2, 3)
-        assert grid[0, 1].tolist() == [0.0, -0.2, -0.19]
-        assert grid[0, 21].tolist() == [0.0, -0.19, -0.2]
-        assert grid[1, 0].tolist() == [0.5, -0.2, -0.2]
+        assert grid[0, 1].tolist() == [0.0, -0.19, -0.2]
+        assert grid[0, 21].tolist() == [0.5, -0.2, -0.2]
+        assert grid[1, 0].tolist() == [0.0, -0.2, -0.19]
         assert grid[-1, -1].tolist() == [10.0, 0.0, 0.0]
+        # Consecutive batches differ by one subsidy step on z3 alone.
+        steps = np.diff(grid, axis=0)
+        assert np.allclose(steps[..., :2], 0.0) and np.allclose(steps[..., 2], 0.01)
+
+    def test_one_region_has_one_point_per_tax(self):
+        grid = tax_grid(one_region_market(), "z1", (0.0, 0.5, 1.0), ())
+        assert grid.shape == (3, 1, 1)
+        assert grid.ravel().tolist() == [0.0, 0.5, 1.0]
+
+    @pytest.mark.parametrize("axis", ["tax", "subsidy"])
+    def test_empty_axis_is_rejected(self, axis):
+        spec, _ = gen_jrmp_market(0)
+        axes = {"tax": BB_TAX_AXIS, "subsidy": BB_SUBSIDY_AXIS, axis: ()}
+        with pytest.raises(ValueError, match=f"{axis} axis is empty"):
+            tax_grid(spec, "z1", axes["tax"], axes["subsidy"])
+        if axis == "tax":
+            with pytest.raises(ValueError, match="tax axis is empty"):
+                tax_grid(one_region_market(), "z1", (), BB_SUBSIDY_AXIS)
 
 
 class TestBench:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import sweep_grid_matchings
+from quotamatch import ae
 from quotamatch.ae import solve_ae, solve_ae_grid
 from quotamatch.eae import InfeasibleQuotaError, solve_eae
 from quotamatch.experiments import (
@@ -181,25 +182,44 @@ class TestBudgetBalancedPolicy:
         assert not result.feasible
 
     def test_selection_maximizes_welfare_over_kept_set(self, jrmp):
+        # At every published floor the chosen tax vector is the brute-force
+        # argmax row over the kept set, priced on the independent sweep's
+        # matchings, which are computed once.
         spec, phi = jrmp
         grid = default_grid(spec)
         gs = solve_ae_grid(spec, phi, grid)
-        [chosen] = bbae(spec, phi, [FLOORS], grid)
-        # Brute-force re-evaluation of every kept grid point, on the
-        # independent sweep's matchings.
-        best = -np.inf
-        for g, mu in enumerate(sweep_grid_matchings(spec, phi.phi, gs.taxes)):
-            w_slot = gs.taxes[g][spec.slot_region_index]
-            pm = float((mu.matched * w_slot[None, :]).sum())
-            social = matching_value(mu, phi.phi, spec)
-            # The grid's closed-form prices agree with the sweep's.
-            assert gs.revenue[g] == pytest.approx(pm, rel=0, abs=1e-9)
-            assert gs.social_welfare[g] == pytest.approx(social, rel=0, abs=1e-9)
-            masses = region_masses(mu, spec)
-            if pm < -1e-12 or masses[1] < 0.2 - 1e-8 or masses[2] < 0.2 - 1e-8:
-                continue
-            best = max(best, social)
-        assert chosen.welfare.social == pytest.approx(best, abs=1e-8)
+        levels = JrmpConfig().floor_grid
+        chosen = bbae(spec, phi, [{"z2": f, "z3": f} for f in levels], grid)
+        mus = sweep_grid_matchings(spec, phi.phi, gs.taxes)
+        w_slot = gs.taxes[:, spec.slot_region_index]
+        pm = np.array([(mu.matched * w[None, :]).sum() for mu, w in zip(mus, w_slot)])
+        social = np.array([matching_value(mu, phi.phi, spec) for mu in mus])
+        masses = np.array([region_masses(mu, spec) for mu in mus])
+        # The grid's closed-form prices agree with the sweep's.
+        assert np.abs(gs.revenue - pm).max() <= 1e-9
+        assert np.abs(gs.social_welfare - social).max() <= 1e-9
+        for level, result in zip(levels, chosen):
+            kept = (pm >= -1e-12) & (masses[:, 1:] >= level - 1e-8).all(axis=1)
+            best = np.flatnonzero(kept)[np.argmax(social[kept])]
+            assert result.feasible
+            assert np.array_equal(result.search_parameter, gs.taxes[best]), level
+            assert result.welfare.social == pytest.approx(social[best], abs=1e-8)
+
+    def test_default_grid_batches_take_one_sweep_each(self, jrmp, monkeypatch):
+        # Batches step along the fine subsidy axis and start from the
+        # extrapolated roots, so from the third on each takes one sweep.
+        ipfp, sweeps = ae._ipfp, []
+
+        def counting_ipfp(*args):
+            result = ipfp(*args)
+            sweeps.append(result[2])
+            return result
+
+        monkeypatch.setattr(ae, "_ipfp", counting_ipfp)
+        spec, phi = jrmp
+        assert solve_ae_grid(spec, phi, default_grid(spec)).converged
+        assert len(sweeps) == 21 and sweeps[2:] == [1] * 19
+        assert sum(sweeps) <= 35
 
     def test_sweep_selection_equals_fresh_bbae_bit_for_bit(self, jrmp):
         # The sweep shares solves across levels: the budget-balance grid, a
