@@ -26,9 +26,11 @@ from the last: :func:`solve_ae` is one cold solve, and the outer searches of
 :func:`solve_ae_grid` solves a grid of tax vectors on one thread, in batches
 of points swept in lockstep. Each batch is warm-started from the last, or,
 where the batches step evenly, from the log-linear extrapolation of the last
-two: a predictor-corrector continuation along the step. It prices every
-point in closed form from its unmatched masses, so no grid point's matching
-is ever formed.
+two: a predictor-corrector continuation along the step. On seven or more
+evenly stepped batches the continuation takes every other batch, and each
+batch between starts from the cubic interpolation of its solved neighbours.
+It prices every point in closed form from its unmatched masses, so no grid
+point's matching is ever formed.
 
 A solve is converged once its worst absolute population residual is at most
 ``POPULATION_TOLERANCE`` (1e-10); ``MAX_ITERATIONS`` (10,000) caps its sweeps.
@@ -387,16 +389,29 @@ def solve_ae_grid(spec: MarketSpec, phi, tax_grid) -> GridSolution:
     A (G, L) grid is one batch of points, a (T, P, L) grid T batches of P.
     The points of a batch are advanced in lockstep, its iteration stopping
     when the worst residual across the batch meets the tolerance, and each
-    point agrees with its separate solve to the population tolerance. Each
-    batch starts from the previous one's slot roots b_t (square roots of the
-    unmatched slot masses), point by point. Where its step repeats the
-    previous batch's step, it starts instead from the log-linear
-    extrapolation b_t**2 / b_(t-1) of the last two batches' roots, or from
-    b_t wherever that is not finite and positive. Along
-    :func:`~quotamatch.policies.tax_grid`'s batches one floor region's
-    subsidy moves by one step of its axis; on the harness's evenly spaced
-    axis one sweep suffices from the third batch on. Every kernel factors as
-    ``base * scale_g`` with ``base = exp((phi - top) / 2) <= 1`` (``top`` the
+    point agrees with its separate solve to the population tolerance.
+
+    The batches are solved by continuation, in order. Each starts from the
+    previous one's slot roots b_t (square roots of the unmatched slot
+    masses), point by point. Where its step repeats the previous batch's
+    step, it starts instead from the log-linear extrapolation
+    b_t**2 / b_(t-1) of the last two batches' roots, or from b_t wherever
+    that is not finite and positive. When there are at least seven batches
+    and every step repeats the one before it, the continuation takes
+    batches 0, 2, 4, ... at a double step, and the last batch after a single
+    step, its extrapolation scaled to that step. Each batch between then
+    starts from exp of the cubic Lagrange interpolation, in batch index, of
+    log b over the four nearest solved batches, or from the preceding
+    batch's roots wherever that is not finite and positive. An
+    interpolated start lies closer to its solution than an extrapolated
+    one, and no other batch starts from it, so its errors do not accumulate
+    along the grid. Along :func:`~quotamatch.policies.tax_grid`'s batches
+    one floor region's subsidy moves by one step of its axis; on the
+    harness's evenly spaced axis one sweep suffices from the third batch
+    on, and only the extrapolated batches need a Newton trial.
+
+    Every kernel factors as ``base * scale_g`` with
+    ``base = exp((phi - top) / 2) <= 1`` (``top`` the
     column maxima of phi) and ``scale_g = exp((top - w_g) / 2)``, so one
     ``base`` serves the whole grid; the exponent of ``scale_g`` is the largest
     of the point's kernel, so the range check applies to it.
@@ -419,19 +434,44 @@ def solve_ae_grid(spec: MarketSpec, phi, tax_grid) -> GridSolution:
     if exponent.max() > _EXP_LIMIT:
         raise KernelRangeError("kernel exponent out of range somewhere on the tax grid")
     base = np.exp(0.5 * (phi_arr - top[None, :]))
-    b = None
-    roots, iterations, residual = [], 0, 0.0
-    for t, scale in enumerate(np.exp(exponent)):
-        start = b
-        if t >= 2 and np.allclose(batches[t] - batches[t - 1], batches[t - 1] - batches[t - 2]):
-            # b_t**2 / b_(t-1); squaring b first would underflow below 1e-162
+    scales = np.exp(exponent)
+    T = len(batches)
+    steps = np.diff(batches, axis=0)
+    # repeats[t - 2]: batch t steps on from batch t - 1 as that one did
+    repeats = np.isclose(steps[1:], steps[:-1]).all(axis=(1, 2))
+    stride = 2 if T >= 7 and repeats.all() else 1
+    solved = list(range(0, T, stride))
+    if solved[-1] != T - 1:
+        solved.append(T - 1)
+    results = [None] * T
+
+    def positive_or(guess, b):
+        return np.where(np.isfinite(guess) & (guess > 0.0), guess, b)
+
+    for i, t in enumerate(solved):
+        start = results[solved[i - 1]][1] if i else None
+        # With a stride of 2 every step repeats the one before it.
+        if i >= 2 and repeats[t - 2]:
+            t0, t1 = solved[i - 2], solved[i - 1]
+            # b1 * (b1 / b0)**r, linear in log b; squaring b1 first would
+            # underflow below 1e-162
             with np.errstate(all="ignore"):
-                guess = b * (b / roots[-2][1])
-            start = np.where(np.isfinite(guess) & (guess > 0.0), guess, b)
-        a, b, sweeps, worst = _ipfp(spec.n, spec.m, base, start, scale)
-        roots.append((a, b))
-        iterations, residual = max(iterations, sweeps), max(residual, worst)
-    a, b = (np.concatenate(side) for side in zip(*roots))
+                guess = start * (start / results[t0][1]) ** ((t - t1) / (t1 - t0))
+            start = positive_or(guess, start)
+        results[t] = _ipfp(spec.n, spec.m, base, start, scales[t])
+    for t in sorted(set(range(T)) - set(solved)):
+        # Cubic Lagrange interpolation in t of log b over the four nearest
+        # solved batches; no later batch starts from its result.
+        first = min(max(solved.index(t - 1) - 1, 0), len(solved) - 4)
+        nodes = solved[first : first + 4]
+        x = np.array(nodes, dtype=np.float64)
+        offsets = t - x
+        weights = offsets.prod() / offsets / (x[:, None] - x + np.eye(4)).prod(axis=1)
+        with np.errstate(all="ignore"):
+            guess = np.exp(sum(w * np.log(results[s][1]) for w, s in zip(weights, nodes)))
+        results[t] = _ipfp(spec.n, spec.m, base, positive_or(guess, results[t - 1][1]), scales[t])
+    a, b, sweeps, worst = zip(*results)
+    a, b, residual = np.concatenate(a), np.concatenate(b), max(worst)
     w_slot = w_slot.reshape(-1, spec.num_slots)
     per_slot = spec.m - b * b
     revenue = (per_slot * w_slot).sum(axis=1)
@@ -440,7 +480,7 @@ def solve_ae_grid(spec: MarketSpec, phi, tax_grid) -> GridSolution:
         region_mass=per_slot @ np.eye(L)[spec.slot_region_index],
         revenue=revenue,
         social_welfare=_value(spec.n, spec.m, a, b) + revenue,
-        iterations=iterations,
+        iterations=max(sweeps),
         residual=residual,
         converged=residual <= POPULATION_TOLERANCE,
     )

@@ -10,8 +10,10 @@ Replications and floor levels are independent; the harness output is a pure
 function of the configuration, so parallel execution (see the CLI's jobs
 flag, the only parallelism) produces byte-identical files. A replication runs
 on one thread: its budget-balance grid is solved in batches along one floor
-region's subsidy, each started from the roots extrapolated from the two
-before it, and priced in closed form (:func:`~quotamatch.ae.solve_ae_grid`).
+region's subsidy, every other batch started from the roots extrapolated from
+the two solved before it and each batch between from the roots interpolated
+from its solved neighbours, and priced in closed form
+(:func:`~quotamatch.ae.solve_ae_grid`).
 Within a replication a floor level's scan outcome is reused at any later,
 higher level whose floors it meets, or whose floors it did not meet at its
 own level, and each distinct budget-balanced winner is re-solved once

@@ -152,7 +152,9 @@ def assert_priced_like_solve_ae(batch, spec, phi, tol, welfare_tol=None):
 @st.composite
 def gridded_markets(draw):
     """Up to 3 x 3 markets over up to three regions, with masses from 1e-6 to
-    1e3 and surplus within +-40, and a (T, P, L) tax grid of 2-3 batches."""
+    1e3 and surplus within +-40, and a (T, P, L) tax grid: either 2-3
+    batches of arbitrary taxes, or 7-10 batches each one step of at most 2
+    per region on from the last, whose in-between batches are interpolated."""
     num_workers, num_slots = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     num_regions = draw(st.integers(1, num_slots))
     region = draw(st.permutations(range(num_slots)))
@@ -172,10 +174,16 @@ def gridded_markets(draw):
     )
     size = num_workers * num_slots
     phi = np.array(draw(st.lists(st.floats(-40.0, 40.0), min_size=size, max_size=size)))
-    shape = (draw(st.integers(2, 3)), draw(st.integers(1, 3)), num_regions)
+    evenly_stepped = draw(st.booleans())
+    shape = (1 if evenly_stepped else draw(st.integers(2, 3)), draw(st.integers(1, 3)), num_regions)
     size = int(np.prod(shape))
     taxes = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=size, max_size=size)))
-    return spec, phi.reshape(num_workers, num_slots), taxes.reshape(shape)
+    taxes = taxes.reshape(shape)
+    if evenly_stepped:
+        steps = st.lists(st.floats(-2.0, 2.0), min_size=num_regions, max_size=num_regions)
+        step = np.array(draw(steps))
+        taxes = taxes + np.arange(draw(st.integers(7, 10)))[:, None, None] * step
+    return spec, phi.reshape(num_workers, num_slots), taxes
 
 
 class TestGridSolve:
@@ -319,6 +327,94 @@ class TestGridSolve:
             warnings.simplefilter("error")
             solve_ae_grid(spec, phi, np.array([[[0.0, 0.0]], [[0.5, 0.1]], [[1.0, 0.2]]]))
         assert starts[2].tolist() == [[0.125, 1e-200, 1e150]]
+
+    def test_batches_between_start_from_interpolated_roots(self, example_market, monkeypatch):
+        # Nine evenly stepped batches of three points: batches 0, 2, ..., 8
+        # are solved by continuation at a double step, and each batch between
+        # starts from the cubic Lagrange interpolation in t of log b over the
+        # four nearest of them; the weights below are in sixteenths.
+        spec, phi = example_market
+        points = np.array([[0.0, 0.0], [0.5, -0.1], [2.0, 0.3]])
+        grid = points + 0.3 * np.arange(9)[:, None, None] * np.array([1.0, -0.5])
+        top = as_surplus_array(phi, spec).max(axis=0)
+        scales = np.exp(0.5 * (top - grid[..., spec.slot_region_index]))
+        ipfp, order, starts, roots = ae._ipfp, [], {}, {}
+
+        def recording_ipfp(n, m, kernel, b0, scale):
+            t = int(np.argmin(np.abs(scales - scale).max(axis=(1, 2))))
+            result = ipfp(n, m, kernel, b0, scale)
+            order.append(t)
+            starts[t], roots[t] = b0, result[1]
+            return result
+
+        monkeypatch.setattr(ae, "_ipfp", recording_ipfp)
+        batch = solve_ae_grid(spec, phi, grid)
+        assert order == [0, 2, 4, 6, 8, 1, 3, 5, 7]
+        assert starts[0] is None and np.array_equal(starts[2], roots[0])
+        for t in (4, 6, 8):
+            assert np.array_equal(starts[t], roots[t - 2] * (roots[t - 2] / roots[t - 4]))
+        interpolants = {
+            1: ((0, 2, 4, 6), (5, 15, -5, 1)),
+            3: ((0, 2, 4, 6), (-1, 9, 9, -1)),
+            5: ((2, 4, 6, 8), (-1, 9, 9, -1)),
+            7: ((2, 4, 6, 8), (1, -5, 15, 5)),
+        }
+        for t, (nodes, weights) in interpolants.items():
+            log_b = sum(w / 16 * np.log(roots[s]) for w, s in zip(weights, nodes))
+            assert np.array_equal(starts[t], np.exp(log_b)), t
+        monkeypatch.undo()
+        assert batch.converged
+        assert_priced_like_solve_ae(batch, spec, phi, 1e-9)
+
+    def test_unevenly_stepped_batches_are_solved_in_order(self, example_market, monkeypatch):
+        # Eight batches at 0, 1, 2, 3, 4, 6, 7, 8 steps: all are solved in
+        # order, and a batch starts from the extrapolated roots only where
+        # its step repeats the previous one.
+        spec, phi = example_market
+        points = np.array([[0.0, 0.0], [0.5, -0.1], [2.0, 0.3]])
+        offsets = np.array([0, 1, 2, 3, 4, 6, 7, 8])[:, None, None]
+        grid = points + 0.3 * offsets * np.array([1.0, -0.5])
+        ipfp, starts, roots = ae._ipfp, [], []
+
+        def recording_ipfp(n, m, kernel, b0, scale):
+            result = ipfp(n, m, kernel, b0, scale)
+            starts.append(b0)
+            roots.append(result[1])
+            return result
+
+        monkeypatch.setattr(ae, "_ipfp", recording_ipfp)
+        assert solve_ae_grid(spec, phi, grid).converged
+        assert len(starts) == 8 and starts[0] is None
+        for t in range(1, 8):
+            b = roots[t - 1]
+            want = b * (b / roots[t - 2]) if t in (2, 3, 4, 7) else b
+            assert np.array_equal(starts[t], want), t
+
+    def test_interpolation_out_of_range_falls_back_to_the_nearest_roots(self, example_market, monkeypatch):
+        # Prescribed roots for seven evenly spaced one-point batches, of which
+        # 0, 2, 4 and 6 are solved first: batch 1's interpolant of the second
+        # slot underflows and of the third overflows, so those two start from
+        # batch 0's roots. The prescription runs out at batch 3, before roots
+        # of 1e300 would be squared in pricing.
+        spec, phi = example_market
+        prescribed = iter(
+            [[0.5, 1e-300, 1e300], [0.25, 1e-300, 1e300], [0.125, 1e300, 1e-300], [0.0625, 1e-300, 1e300]]
+            + [[1.0, 1.0, 1.0]]
+        )
+        starts = []
+
+        def prescribed_ipfp(n, m, kernel, b0, scale):
+            starts.append(b0)
+            return np.ones((1, n.size)), np.array([next(prescribed)]), 1, 0.0
+
+        monkeypatch.setattr(ae, "_ipfp", prescribed_ipfp)
+        grid = 0.1 * np.arange(7)[:, None, None] * np.array([[[1.0, 2.0]]])
+        with warnings.catch_warnings(), pytest.raises(StopIteration):
+            warnings.simplefilter("error")
+            solve_ae_grid(spec, phi, grid)
+        assert len(starts) == 6
+        assert starts[4][0, 0] == pytest.approx(2.0**-1.5, rel=1e-14)
+        assert starts[4][0, 1:].tolist() == [1e-300, 1e300]
 
     def test_runs_under_the_callers_error_state(self, example_market, monkeypatch):
         spec, phi = example_market

@@ -206,20 +206,30 @@ class TestBudgetBalancedPolicy:
             assert result.welfare.social == pytest.approx(social[best], abs=1e-8)
 
     def test_default_grid_batches_take_one_sweep_each(self, jrmp, monkeypatch):
-        # Batches step along the fine subsidy axis and start from the
-        # extrapolated roots, so from the third on each takes one sweep.
+        # Batches step along the fine subsidy axis. Every other one starts
+        # from the roots extrapolated from the two solved before it, and the
+        # ones between from the roots interpolated from their solved
+        # neighbours, so after the first two each takes one sweep, and only
+        # the extrapolated ones need a Newton trial.
         ipfp, sweeps = ae._ipfp, []
+        solve_log_jacobian, trials = ae._solve_log_jacobian, []
 
         def counting_ipfp(*args):
             result = ipfp(*args)
             sweeps.append(result[2])
             return result
 
+        def counting_solve(*args):
+            trials.append(1)
+            return solve_log_jacobian(*args)
+
         monkeypatch.setattr(ae, "_ipfp", counting_ipfp)
+        monkeypatch.setattr(ae, "_solve_log_jacobian", counting_solve)
         spec, phi = jrmp
         assert solve_ae_grid(spec, phi, default_grid(spec)).converged
         assert len(sweeps) == 21 and sweeps[2:] == [1] * 19
         assert sum(sweeps) <= 35
+        assert len(trials) <= 13
 
     def test_sweep_selection_equals_fresh_bbae_bit_for_bit(self, jrmp):
         # The sweep shares solves across levels: the budget-balance grid, a
