@@ -6,11 +6,13 @@ input (KernelRangeError: surplus minus tax too large for exp), 2 when a
 solver fails to converge or a verification fails, 3 when quotas are
 infeasible.
 
-``estimate`` fits by Fisher scoring on the KL criterion. It exits 0 when
-the fit reaches the KL tolerance or a stationary point (the best fit of data
-the model cannot reproduce exactly), and 2 when the evaluation budget runs
-out, the search stalls (no halving of a step lowers the KL), or an inner
-solve fails.
+``estimate`` fits by Fisher scoring on the KL criterion, starting from the
+mass-weighted least-squares fit of the observed log-odds (the Choo-Siow
+closed form), so one evaluation ends the fit of data the model fits
+exactly. It exits 0 when the fit reaches the KL tolerance or a stationary
+point (the best fit of data the model cannot reproduce exactly), and 2 when
+the evaluation budget runs out, the search stalls (no halving of a step
+lowers the KL), or an inner solve fails.
 
 ``counterfactual`` runs the experiment harness's per-floor policy sweep
 (:func:`quotamatch.experiments.sweep_policies`) on one market. Its
@@ -32,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -273,6 +274,9 @@ def _cmd_experiment(args) -> int:
     seeds = tuple(derive_seed(args.seed, f"replication/{i}") for i in range(args.seeds))
     cfg = experiments.JrmpConfig(seeds=seeds, floor_grid=floor_grid, replications=args.seeds)
     if args.jobs > 1:
+        # Imported here: no other command needs the process pool's import cost.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             panel = experiments.run_lower_bound_sweep(cfg, mapper=pool.map)
     else:

@@ -8,6 +8,13 @@ the observed and implied matching distributions over type pairs. Minimizing
 that divergence is equivalent to maximizing the multinomial log likelihood of
 the observed matches.
 
+The search starts from the closed form of the logit model: wherever it
+fits, mu_xy**2 = mu_x0 mu_0y exp(phi_xy - w_z(y)) (Choo and Siow, *JPE*
+2006), so the observed log-odds give the surplus cell by cell, and their
+least-squares fit in the covariates, each cell weighted by its observed
+matched mass, is the first candidate. On data the model fits exactly, that
+first evaluation ends the fit.
+
 The outer search is Fisher scoring, a Newton step on the coefficients with
 the multinomial information matrix, halved until the divergence falls. The
 surplus is linear in the coefficients, so each coefficient is one direction
@@ -38,6 +45,7 @@ from .market import (
     MarketSpec,
     SurplusMatrix,
     _document,
+    as_surplus_array,
     as_tax_array,
 )
 
@@ -201,8 +209,11 @@ def estimate(
 ) -> tuple[SurplusModel, FitReport]:
     """Fit surplus coefficients to an observed matching by Fisher scoring.
 
-    Starts from zero coefficients, halves each step until the divergence
-    falls, and returns the last (best) coefficients with the search trace.
+    Starts from the mass-weighted least-squares fit of the observed
+    log-odds 2 log mu_xy - log mu_x0 - log mu_0y + w_z(y) in the covariates,
+    which ends the fit at its first evaluation on data the model reproduces
+    exactly. Halves each step until the divergence falls, and returns the
+    last (best) coefficients with the search trace.
     The fit is converged at a divergence of ``KL_TOLERANCE`` ("kl tolerance
     reached") or at a stationary point ("stationary point"): a gradient
     sup-norm of at most 1e-8, or a full step that fails while the decrease
@@ -214,6 +225,11 @@ def estimate(
     obs = _pair_vector(observed)
     if np.any(obs <= 0.0):
         raise ValueError("observed matching must be strictly positive on every type pair")
+    # Shapes are checked before the log-odds broadcast over them, with the
+    # errors the first evaluation would raise.
+    as_surplus_array(c.c[..., 0], spec)
+    if observed.matched.shape != c.c.shape[:2]:
+        raise ValueError("observed and simulated matchings have different shapes")
     p = obs / obs.sum()
     w = as_tax_array(taxes, spec)
     report = FitReport()
@@ -229,7 +245,18 @@ def estimate(
     # log of its cells by up to twice that over its mass; against q - p, of
     # 1-norm at most sqrt(2 KL) (Pinsker), that bounds the divergence's noise.
     log_noise = 2.0 * POPULATION_TOLERANCE / min(spec.n.min(), spec.m.min())
-    lam = np.zeros(c.num_features)
+    # The start: each cell is weighted by its matched mass, the inverse
+    # variance of its log-odds and its weight in the divergence.
+    log_odds = (
+        2.0 * np.log(observed.matched)
+        - np.log(observed.unmatched_workers)[:, None]
+        - np.log(observed.unmatched_slots)[None, :]
+        + w[spec.slot_region_index][None, :]
+    )
+    root = np.sqrt(observed.matched)
+    lam = np.linalg.lstsq(
+        (root[..., None] * c.c).reshape(-1, c.num_features), (root * log_odds).ravel(), rcond=None
+    )[0]
     kl = evaluate(lam)
     report.kl_trace.append(kl)
     step = None

@@ -118,10 +118,11 @@ class MarketSpec:
             raise SchemaViolationError("m must align with slot_types")
         if self.upper.shape != (len(self.regions),) or self.lower.shape != (len(self.regions),):
             raise SchemaViolationError("upper/lower must align with regions")
+        regions = set(self.regions)
         for y in self.slot_types:
             if y not in self.region_of:
                 raise SchemaViolationError(f"slot type {y!r} has no region_of entry")
-            if self.region_of[y] not in set(self.regions):
+            if self.region_of[y] not in regions:
                 raise SchemaViolationError(
                     f"slot type {y!r} maps to unknown region {self.region_of[y]!r}"
                 )

@@ -152,13 +152,14 @@ def test_estimate_optimal_fit_of_noisy_data_exits_zero(tmp_path):
 def test_estimate_budget_exhausted_exits_two(tmp_path, monkeypatch):
     import quotamatch.estimation as estimation
 
-    monkeypatch.setattr(estimation, "MAX_OUTER_EVALS", 3)
-    spec, c, taxes, observed, _ = estimation_market(np.random.default_rng(4), 4, 6, 2, 2)
+    # Exact data ends at the first evaluation; this noisy fit needs 3.
+    monkeypatch.setattr(estimation, "MAX_OUTER_EVALS", 2)
+    spec, c, taxes, observed, _ = estimation_market(np.random.default_rng(4), 4, 6, 2, 2, noise=0.05)
     code = main(_estimate_args(tmp_path, spec, c, observed, taxes))
     assert code == 2
     fit = json.loads((tmp_path / "fit.json").read_text())["fit"]
     assert not fit["converged"]
-    assert fit["n_evals"] == 3 and fit["message"] == "evaluation budget exhausted"
+    assert fit["n_evals"] == 2 and fit["message"] == "evaluation budget exhausted"
 
 
 def test_experiment_csv_shape_and_determinism(tmp_path):

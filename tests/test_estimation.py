@@ -224,18 +224,54 @@ class TestEstimate:
         _, report = estimate(noisy, c, w, spec)
         assert report.converged
         assert report.message == "stationary point"
-        assert report.n_evals <= 8
+        assert report.n_evals <= 3
         sim_truth = solve_ae(spec, surplus_from_covariates(SurplusModel(truth), c), w).matching
         assert report.final_kl <= kl_divergence(noisy, sim_truth)
 
-    def test_budget_exhausted_is_not_converged(self, synthetic, monkeypatch):
-        spec, c, _, w, observed = synthetic
-        monkeypatch.setattr(estimation, "MAX_OUTER_EVALS", 3)
-        _, report = estimate(observed, c, w, spec)
+    def test_budget_exhausted_is_not_converged(self, monkeypatch):
+        # Exact data ends at the first evaluation; this noisy fit needs 3.
+        spec, c, w, noisy, _ = estimation_market(np.random.default_rng(3), 10, 12, 3, 3, noise=0.05)
+        monkeypatch.setattr(estimation, "MAX_OUTER_EVALS", 2)
+        _, report = estimate(noisy, c, w, spec)
         assert not report.converged
         assert report.message == "evaluation budget exhausted"
-        assert report.n_evals == 3
-        assert len(report.kl_trace) == 3
+        assert report.n_evals == 2
+        assert len(report.kl_trace) == 2
+
+    @pytest.mark.parametrize("size", [(10, 12, 3, 3), (20, 40, 4, 4)], ids=["10x12", "20x40"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_exact_data_is_fit_by_the_first_evaluation(self, size, seed):
+        # The start is the closed-form surplus fit, so it reproduces the data.
+        spec, c, w, observed, truth = estimation_market(np.random.default_rng(seed), *size)
+        model, report = estimate(observed, c, w, spec)
+        assert report.n_evals == 1
+        assert report.message == "kl tolerance reached"
+        assert np.abs(model.coefficients - truth).max() <= 1e-9
+
+    @pytest.mark.parametrize("mass", [1e-30, 1e-150, 1e-300])
+    def test_start_weights_each_cell_by_its_matched_mass(self, mass):
+        # A near-empty cell has log-odds in the hundreds; unweighted, it drags
+        # the start to a kernel out of range (1e-150, 1e-300) or twice as many
+        # evaluations (1e-30). Weighted, the fit is that of zero-start scoring.
+        spec, c, w, observed, _ = estimation_market(np.random.default_rng(3), 4, 6, 2, 2)
+        matched = observed.matched.copy()
+        matched[0, 0] = mass
+        sparse = Matching(matched, observed.unmatched_workers, observed.unmatched_slots)
+        model, report = estimate(sparse, c, w, spec)
+        assert report.converged
+        assert report.n_evals <= 6
+        assert np.abs(model.coefficients - [0.92906153, -0.62652481]).max() <= 1e-7
+
+    def test_rejects_an_observed_matching_of_another_shape(self):
+        spec, c, w, observed, _ = estimation_market(np.random.default_rng(3), 4, 6, 2, 2)
+        narrow = Matching(observed.matched[:, :5], observed.unmatched_workers, observed.unmatched_slots[:5])
+        with pytest.raises(ValueError, match="observed and simulated matchings have different shapes"):
+            estimate(narrow, c, w, spec)
+
+    def test_rejects_covariates_of_another_shape(self):
+        spec, c, w, observed, _ = estimation_market(np.random.default_rng(3), 4, 6, 2, 2)
+        with pytest.raises(SchemaViolationError, match=re.escape("surplus matrix shape (4, 5)")):
+            estimate(observed, CovariateBasis(c.c[:, :5]), w, spec)
 
     def test_rejects_zero_observed_cells(self, synthetic):
         spec, c, _, w, _ = synthetic

@@ -119,6 +119,22 @@ def test_matching_requires_aligned_vectors():
         Matching(np.zeros((2, 3)), np.zeros(3), np.zeros(3))
 
 
+def test_spec_requires_a_region_for_every_slot_type():
+    with pytest.raises(SchemaViolationError, match="slot type 'y3' has no region_of entry"):
+        MarketSpec(
+            ("x1",), ("y1", "y2", "y3"), ("z1", "z2"), np.ones(1), np.ones(3),
+            {"y1": "z1", "y2": "z2"}, np.full(2, np.inf), np.zeros(2),
+        )
+
+
+def test_spec_rejects_a_slot_type_in_an_unknown_region():
+    with pytest.raises(SchemaViolationError, match="slot type 'y2' maps to unknown region 'z3'"):
+        MarketSpec(
+            ("x1",), ("y1", "y2", "y3"), ("z1", "z2"), np.ones(1), np.ones(3),
+            {"y1": "z1", "y2": "z3", "y3": "z2"}, np.full(2, np.inf), np.zeros(2),
+        )
+
+
 def test_surplus_matrix_rejects_nonfinite():
     with pytest.raises(SchemaViolationError):
         SurplusMatrix(np.array([[np.inf, 0.0]]))

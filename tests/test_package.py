@@ -86,6 +86,23 @@ def test_importing_the_package_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_importing_the_cli_loads_no_process_pool():
+    # Only ``experiment --jobs K`` with K > 1 uses a process pool; every
+    # other command would pay its import for nothing.
+    src = Path(quotamatch.__file__).parent.parent
+    code = (
+        "import sys, quotamatch.cli\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'concurrent'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_no_module_imports_scipy():
     package = Path(quotamatch.__file__).parent
     importing = set()
