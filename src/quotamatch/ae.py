@@ -29,8 +29,10 @@ where the batches step evenly, from the log-linear extrapolation of the last
 two: a predictor-corrector continuation along the step. On seven or more
 evenly stepped batches the continuation takes every other batch, and each
 batch between starts from the cubic interpolation of its solved neighbours.
-It prices every point in closed form from its unmatched masses, so no grid
-point's matching is ever formed.
+Once every batch is solved it prices them batch by batch, each point in
+closed form from its unmatched masses: no grid point's matching is ever
+formed, and no array the size of the grid is held but the roots and the
+priced outputs.
 
 A solve is converged once its worst absolute population residual is at most
 ``POPULATION_TOLERANCE`` (1e-10); ``MAX_ITERATIONS`` (10,000) caps its sweeps.
@@ -367,11 +369,11 @@ def solve_ae(spec: MarketSpec, phi, taxes=None) -> EquilibriumResult:
 class GridSolution:
     """Tax-fixed equilibria over a grid of tax vectors, priced.
 
-    Arrays run over the grid's points in row order, batch after batch
-    (:func:`solve_ae_grid`): ``region_mass`` is a point's matched mass by
-    region, ``revenue`` sum mu*w and ``social_welfare``
-    :func:`~quotamatch.logit.matching_value` at phi. ``iterations`` and
-    ``residual`` are the maxima over the batches.
+    Arrays run over the grid's points in row order, batch after batch, and
+    are priced batch by batch (:func:`solve_ae_grid`): ``region_mass`` is a
+    point's matched mass by region, ``revenue`` sum mu*w and
+    ``social_welfare`` :func:`~quotamatch.logit.matching_value` at phi.
+    ``iterations`` and ``residual`` are the maxima over the batches.
     """
 
     taxes: np.ndarray            # (G, L)
@@ -413,12 +415,16 @@ def solve_ae_grid(spec: MarketSpec, phi, tax_grid) -> GridSolution:
     Every kernel factors as ``base * scale_g`` with
     ``base = exp((phi - top) / 2) <= 1`` (``top`` the
     column maxima of phi) and ``scale_g = exp((top - w_g) / 2)``, so one
-    ``base`` serves the whole grid; the exponent of ``scale_g`` is the largest
-    of the point's kernel, so the range check applies to it.
+    ``base`` serves the whole grid, and a batch's scales are formed when it
+    is solved. The exponent of ``scale_g`` is the largest of the point's
+    kernel, so the range check applies to it, over the whole grid before
+    any batch is solved.
 
-    A point is priced from its unmatched masses alone. Slot y's matched mass
-    is m_y - b_y**2, and the social welfare is the equilibrium value at the
-    net surplus (:meth:`FixedPoint.value`) plus the revenue.
+    Once the last batch is solved the grid is priced batch by batch, each
+    point from its unmatched masses alone. Slot y's matched mass is
+    m_y - b_y**2, and the social welfare is the equilibrium value at the
+    net surplus (:meth:`FixedPoint.value`) plus the revenue. Besides its
+    outputs the solve keeps only the roots a, b of every point.
     """
     phi_arr = as_surplus_array(phi, spec)
     grid = np.asarray(tax_grid, dtype=np.float64)
@@ -428,13 +434,17 @@ def solve_ae_grid(spec: MarketSpec, phi, tax_grid) -> GridSolution:
     if not np.isfinite(grid).all():
         raise ValueError("tax grid entries must be finite")
     batches = grid.reshape(-1, *grid.shape[-2:])
-    w_slot = batches[..., spec.slot_region_index]
     top = phi_arr.max(axis=0)
-    exponent = 0.5 * (top - w_slot)
-    if exponent.max() > _EXP_LIMIT:
+    # top - w is largest at each region's least tax: subtraction rounds
+    # monotonically, so this is the grid's largest exponent exactly.
+    if (0.5 * (top - batches.min(axis=(0, 1))[spec.slot_region_index])).max() > _EXP_LIMIT:
         raise KernelRangeError("kernel exponent out of range somewhere on the tax grid")
     base = np.exp(0.5 * (phi_arr - top[None, :]))
-    scales = np.exp(exponent)
+
+    def solve(t, start):
+        scale = np.exp(0.5 * (top - batches[t][:, spec.slot_region_index]))
+        return _ipfp(spec.n, spec.m, base, start, scale)
+
     T = len(batches)
     steps = np.diff(batches, axis=0)
     # repeats[t - 2]: batch t steps on from batch t - 1 as that one did
@@ -458,7 +468,7 @@ def solve_ae_grid(spec: MarketSpec, phi, tax_grid) -> GridSolution:
             with np.errstate(all="ignore"):
                 guess = start * (start / results[t0][1]) ** ((t - t1) / (t1 - t0))
             start = positive_or(guess, start)
-        results[t] = _ipfp(spec.n, spec.m, base, start, scales[t])
+        results[t] = solve(t, start)
     for t in sorted(set(range(T)) - set(solved)):
         # Cubic Lagrange interpolation in t of log b over the four nearest
         # solved batches; no later batch starts from its result.
@@ -469,17 +479,24 @@ def solve_ae_grid(spec: MarketSpec, phi, tax_grid) -> GridSolution:
         weights = offsets.prod() / offsets / (x[:, None] - x + np.eye(4)).prod(axis=1)
         with np.errstate(all="ignore"):
             guess = np.exp(sum(w * np.log(results[s][1]) for w, s in zip(weights, nodes)))
-        results[t] = _ipfp(spec.n, spec.m, base, positive_or(guess, results[t - 1][1]), scales[t])
-    a, b, sweeps, worst = zip(*results)
-    a, b, residual = np.concatenate(a), np.concatenate(b), max(worst)
-    w_slot = w_slot.reshape(-1, spec.num_slots)
-    per_slot = spec.m - b * b
-    revenue = (per_slot * w_slot).sum(axis=1)
+        results[t] = solve(t, positive_or(guess, results[t - 1][1]))
+    P = batches.shape[1]
+    region_mass = np.empty((T, P, L))
+    revenue = np.empty((T, P))
+    social_welfare = np.empty((T, P))
+    regions = np.eye(L)[spec.slot_region_index]
+    for t, (a, b, _, _) in enumerate(results):
+        per_slot = spec.m - b * b
+        revenue[t] = (per_slot * batches[t][:, spec.slot_region_index]).sum(axis=1)
+        region_mass[t] = per_slot @ regions
+        social_welfare[t] = _value(spec.n, spec.m, a, b) + revenue[t]
+    _, _, sweeps, worst = zip(*results)
+    residual = max(worst)
     return GridSolution(
         taxes=grid.reshape(-1, L),
-        region_mass=per_slot @ np.eye(L)[spec.slot_region_index],
-        revenue=revenue,
-        social_welfare=_value(spec.n, spec.m, a, b) + revenue,
+        region_mass=region_mass.reshape(-1, L),
+        revenue=revenue.ravel(),
+        social_welfare=social_welfare.ravel(),
         iterations=max(sweeps),
         residual=residual,
         converged=residual <= POPULATION_TOLERANCE,

@@ -143,10 +143,10 @@ def kl_divergence(observed: Matching, simulated: Matching) -> float:
     strictly positive, and a zero simulated mass against positive observed
     mass is an error (the divergence would be infinite).
     """
+    if observed.matched.shape != simulated.matched.shape:
+        raise ValueError("observed and simulated matchings have different shapes")
     obs = _pair_vector(observed)
     sim = _pair_vector(simulated)
-    if obs.shape != sim.shape:
-        raise ValueError("observed and simulated matchings have different shapes")
     if np.any(obs < 0.0) or np.any(sim < 0.0):
         raise ValueError("match masses must be nonnegative")
     if np.any((sim <= 0.0) & (obs > 0.0)):
@@ -154,7 +154,10 @@ def kl_divergence(observed: Matching, simulated: Matching) -> float:
     p = obs / obs.sum()
     q = sim / sim.sum()
     positive = p > 0.0
-    return float((p[positive] * np.log(p[positive] / q[positive])).sum())
+    kl = float((p[positive] * np.log(p[positive] / q[positive])).sum())
+    # Nonnegative by Gibbs' inequality; at a fit exact to rounding the sum's
+    # cancellation can leave it a few ulps below zero.
+    return 0.0 if kl < 0.0 else kl
 
 
 def log_likelihood(

@@ -402,15 +402,84 @@ def region_masses(mu: Matching, spec: MarketSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # File formats
 #
-# Market files and result files are single JSON documents, written as compact
-# JSON with floats in their shortest round-trip form, so a load of a save
-# reproduces every numeric field bit for bit. An absent key in `upper` means an
+# Market files and result files are single JSON documents on one line, with
+# json.dumps's default ", " and ": " separators and floats in their shortest
+# round-trip form, so a load of a save reproduces every numeric field bit for
+# bit. Arrays are written row by row, so a write holds one row's text at a
+# time, never the whole document's. An absent key in `upper` means an
 # infinite ceiling; an absent key in `lower` means a zero floor.
 # ---------------------------------------------------------------------------
 
 
+class _HoldsArray(Exception):
+    """json.dumps met an ndarray, which :func:`_write_json` writes itself."""
+
+
+def _stop_at_array(obj):
+    # json.dumps's fallback for a value it cannot encode: json's own TypeError
+    # for anything but an ndarray
+    if isinstance(obj, np.ndarray):
+        raise _HoldsArray
+    return json.JSONEncoder().default(obj)
+
+
+def _json_parts(value, parts: list) -> None:
+    """Append ``json.dumps(value, allow_nan=False)``, with every ndarray in
+    ``value`` standing for its ``tolist()``, to ``parts``: as text, except
+    that a numeric array is appended itself once it is known to be finite.
+    A value that holds no ndarray is one json.dumps call."""
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind not in "biuf":
+            parts.append(json.dumps(value.tolist(), allow_nan=False))
+        elif not np.isfinite(value).all():
+            raise ValueError("Out of range float values are not JSON compliant")
+        else:
+            parts.append(value)
+        return
+    try:
+        parts.append(json.dumps(value, allow_nan=False, default=_stop_at_array))
+        return
+    except _HoldsArray:
+        pass
+    if isinstance(value, dict):
+        for i, (key, item) in enumerate(value.items()):
+            # the key as json.dumps writes it, converted to a string if need be
+            key_text = json.dumps({key: 0}, allow_nan=False)[1:-4]
+            parts.append(("{" if i == 0 else ", ") + key_text + ": ")
+            _json_parts(item, parts)
+        parts.append("}")
+    else:
+        for i, item in enumerate(value):
+            parts.append("[" if i == 0 else ", ")
+            _json_parts(item, parts)
+        parts.append("]")
+
+
+def _write_array(f, arr: np.ndarray) -> None:
+    if arr.ndim <= 1:
+        f.write(json.dumps(arr.tolist()))
+        return
+    f.write("[")
+    for i, row in enumerate(arr):
+        if i:
+            f.write(", ")
+        _write_array(f, row)
+    f.write("]")
+
+
 def _write_json(obj: dict, path) -> None:
-    Path(path).write_text(json.dumps(obj, allow_nan=False) + "\n", encoding="utf-8")
+    """Write ``json.dumps(obj, allow_nan=False)`` and a newline to ``path``,
+    every ndarray in ``obj`` as its ``tolist()`` and row by row. A value
+    json.dumps refuses raises before the file is opened."""
+    parts = []
+    _json_parts(obj, parts)
+    with open(path, "w", encoding="utf-8") as f:
+        for part in parts:
+            if isinstance(part, str):
+                f.write(part)
+            else:
+                _write_array(f, part)
+        f.write("\n")
 
 
 def _reject_non_finite(token: str):
@@ -564,12 +633,12 @@ def save_result(result: EquilibriumResult, path, spec: MarketSpec, welfare=None)
     diag = result.diagnostics
     doc = {
         "mu": {
-            "matched": mu.matched.tolist(),
-            "unmatched_workers": mu.unmatched_workers.tolist(),
-            "unmatched_slots": mu.unmatched_slots.tolist(),
+            "matched": mu.matched,
+            "unmatched_workers": mu.unmatched_workers,
+            "unmatched_slots": mu.unmatched_slots,
         },
-        "U": result.utilities.U.tolist(),
-        "V": result.utilities.V.tolist(),
+        "U": result.utilities.U,
+        "V": result.utilities.V,
         "w": {z: result.taxes.w[i] for i, z in enumerate(spec.regions)},
         "diagnostics": {
             "dual_value": diag.dual_value,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -123,3 +125,13 @@ def estimation_market(
     scale = 1.0 + noise * rng.uniform(-1.0, 1.0, size=mu.matched.shape)
     observed = Matching(mu.matched * scale, mu.unmatched_workers, mu.unmatched_slots)
     return spec, c, taxes, observed, truth
+
+
+def traced_peak(call):
+    """``call()``'s result and the peak of the memory tracemalloc traced
+    while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import descent_matching_at_taxes, quadratic_single_pair
-from conftest import random_market
+from conftest import random_market, traced_peak
 from quotamatch import ae
 from quotamatch.ae import (
     FixedPoint,
@@ -16,8 +16,10 @@ from quotamatch.ae import (
     solve_ae_grid,
 )
 from quotamatch.eae import verify_kkt
+from quotamatch.experiments import BB_SUBSIDY_AXIS, BB_TAX_AXIS, URBAN_REGION, gen_jrmp_market
 from quotamatch.logit import matching_value
 from quotamatch.market import MarketSpec, as_surplus_array, region_masses
+from quotamatch.policies import tax_grid
 
 
 class TestKernel:
@@ -430,6 +432,21 @@ class TestGridSolve:
         with np.errstate(over="ignore"), warnings.catch_warnings():
             warnings.simplefilter("error")
             assert solve_ae_grid(spec, phi, np.zeros((3, 2))).converged
+
+    def test_holds_no_array_the_size_of_the_grid_but_roots_and_outputs(self):
+        # The published budget-balance grid, 21 batches of 441 points on a
+        # 10 x 6 market in 3 regions. The roots a, b of every point and the
+        # outputs (taxes and region masses by region, revenue and welfare)
+        # take 1.8 MB; the peak may reach twice that, room for one batch's
+        # work arrays but not for several (G, M) arrays of 0.44 MB each.
+        spec, phi = gen_jrmp_market(0)
+        grid = tax_grid(spec, URBAN_REGION, BB_TAX_AXIS, BB_SUBSIDY_AXIS)
+        T, P, L = grid.shape
+        roots = 8 * T * P * (spec.num_workers + spec.num_slots)
+        outputs = 8 * T * P * (2 * L + 2)
+        solved, peak = traced_peak(lambda: solve_ae_grid(spec, phi, grid))
+        assert solved.converged
+        assert peak < 2 * (roots + outputs)
 
     @settings(max_examples=60, deadline=None)
     @given(gridded_markets())

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import quotamatch
 from conftest import estimation_market
 from quotamatch.cli import main
 from quotamatch.market import _write_json, load_result, save_market
@@ -587,10 +590,14 @@ def test_help_mentions_every_documented_flag():
 def test_module_invocation(example_files, tmp_path):
     _, market, surplus = example_files
     out = tmp_path / "result.json"
+    # The child inherits the environment, not pytest's pythonpath setting:
+    # it imports the package this test imported.
+    package_root = str(Path(quotamatch.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "quotamatch", "solve-eae", "--market", str(market),
          "--phi", str(surplus), "--out", str(out)],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": pythonpath},
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()

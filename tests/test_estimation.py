@@ -95,6 +95,13 @@ class TestKlDivergence:
         with pytest.raises(ValueError, match="zero mass"):
             kl_divergence(obs, sim)
 
+    def test_transposed_matching_is_error(self):
+        # 2x3 and 3x2 matchings have pair vectors of one length, 11.
+        wide = Matching(np.full((2, 3), 0.1), np.full(2, 0.2), np.full(3, 0.3))
+        tall = Matching(np.full((3, 2), 0.1), np.full(3, 0.2), np.full(2, 0.3))
+        with pytest.raises(ValueError, match="observed and simulated matchings have different shapes"):
+            kl_divergence(wide, tall)
+
 
 class TestLogLikelihood:
     def test_truth_attains_grid_maximum(self, synthetic):
@@ -247,6 +254,14 @@ class TestEstimate:
         assert report.n_evals == 1
         assert report.message == "kl tolerance reached"
         assert np.abs(model.coefficients - truth).max() <= 1e-9
+
+    def test_exact_fit_reports_a_nonnegative_divergence(self):
+        # The divergence's terms cancel here to a sum of about -1.7e-16.
+        spec, c, w, observed, _ = estimation_market(np.random.default_rng(1), 10, 12, 3, 3)
+        _, report = estimate(observed, c, w, spec)
+        assert report.message == "kl tolerance reached"
+        assert report.final_kl >= 0.0
+        assert min(report.kl_trace) >= 0.0
 
     @pytest.mark.parametrize("mass", [1e-30, 1e-150, 1e-300])
     def test_start_weights_each_cell_by_its_matched_mass(self, mass):

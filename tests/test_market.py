@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from quotamatch.estimation import load_covariates
 from quotamatch.market import (
     MarketFileError,
@@ -184,6 +185,65 @@ def test_codec_refuses_non_finite_floats(tmp_path, bad):
     with pytest.raises(ValueError):
         _write_json({"x": [1.0, bad]}, path)
     assert not path.exists()
+    # A refused write leaves a file already at the path as it was, also when
+    # the value sits in the last row of an array written row by row.
+    _write_json({"x": [1.0]}, path)
+    before = path.read_bytes()
+    for doc in ({"x": [1.0, bad]}, {"x": np.array([[1.0, 2.0], [3.0, bad]])}):
+        with pytest.raises(ValueError):
+            _write_json(doc, path)
+        assert path.read_bytes() == before
+
+
+def _listed(value):
+    """``value`` with every ndarray replaced by its ``tolist()``."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {k: _listed(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_listed(v) for v in value]
+    return value
+
+
+EDGE_FLOATS = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1 + 2e-17]
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"x": np.zeros((0, 3))},
+        {"x": np.zeros((3, 0))},
+        {"x": np.array(EDGE_FLOATS)},
+        {"x": np.array([EDGE_FLOATS, EDGE_FLOATS[::-1]]), "n": np.arange(4).reshape(2, 2)},
+        {
+            "a": {"b": {"c": np.array(EDGE_FLOATS).reshape(1, 5), "d": [1, 2.5, "s", None, True]}},
+            "e": [np.ones(2), {"f": np.float64(5e-324)}, []],
+            "g": np.float64(-0.0),
+            "h": {},
+            "i": ({1: np.arange(2), 2.5: np.array([True])}, None),
+        },
+        {"x": [EDGE_FLOATS, [1, 2]], "y": {"z": np.float64(1.7976931348623157e308)}},
+    ],
+    ids=["empty-rows", "empty-columns", "1d", "2d", "nested", "no-array"],
+)
+def test_codec_writes_what_json_dumps_writes(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    _write_json(doc, path)
+    assert path.read_bytes() == (json.dumps(_listed(doc), allow_nan=False) + "\n").encode("utf-8")
+
+
+def test_save_result_holds_less_than_the_file_it_writes(tmp_path):
+    # 20 x 1000 matched, U and V blocks: a 1.3 MB file, which a writer that
+    # formed the document's text first would hold whole.
+    from quotamatch.eae import solve_eae
+    from quotamatch.experiments import gen_scaling_market
+
+    spec, phi = gen_scaling_market(20, 100, 0)
+    result = solve_eae(spec, phi)
+    path = tmp_path / "result.json"
+    _, peak = traced_peak(lambda: save_result(result, path, spec))
+    assert peak < path.stat().st_size
 
 
 def test_result_roundtrip_is_bit_exact(tmp_path, example_market):
