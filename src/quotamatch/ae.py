@@ -24,12 +24,8 @@ from the last: :func:`solve_ae` is one cold solve, and the outer searches of
 :mod:`quotamatch.eae` and :mod:`quotamatch.estimation` keep one throughout.
 
 :func:`solve_ae_grid` solves a grid of tax vectors on one thread, in batches
-of points swept in lockstep. Each batch is warm-started from the last, or,
-where the batches step evenly, from the log-linear extrapolation of the last
-two: a predictor-corrector continuation along the step. On seven or more
-evenly stepped batches the continuation takes every other batch, and each
-batch between starts from the cubic interpolation of its solved neighbours.
-Once every batch is solved it prices them batch by batch, each point in
+of points swept in lockstep, solved batch by batch by continuation. Once
+every batch is solved it prices them batch by batch, each point in
 closed form from its unmatched masses: no grid point's matching is ever
 formed, and no array the size of the grid is held but the roots and the
 priced outputs.
@@ -40,6 +36,7 @@ A solve is converged once its worst absolute population residual is at most
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -373,7 +370,8 @@ class GridSolution:
     are priced batch by batch (:func:`solve_ae_grid`): ``region_mass`` is a
     point's matched mass by region, ``revenue`` sum mu*w and
     ``social_welfare`` :func:`~quotamatch.logit.matching_value` at phi.
-    ``iterations`` and ``residual`` are the maxima over the batches.
+    ``iterations`` is the total of every batch's sweeps, ``residual`` the
+    largest over the batches.
     """
 
     taxes: np.ndarray            # (G, L)
@@ -393,24 +391,21 @@ def solve_ae_grid(spec: MarketSpec, phi, tax_grid) -> GridSolution:
     when the worst residual across the batch meets the tolerance, and each
     point agrees with its separate solve to the population tolerance.
 
-    The batches are solved by continuation, in order. Each starts from the
-    previous one's slot roots b_t (square roots of the unmatched slot
-    masses), point by point. Where its step repeats the previous batch's
-    step, it starts instead from the log-linear extrapolation
-    b_t**2 / b_(t-1) of the last two batches' roots, or from b_t wherever
-    that is not finite and positive. When there are at least seven batches
-    and every step repeats the one before it, the continuation takes
-    batches 0, 2, 4, ... at a double step, and the last batch after a single
-    step, its extrapolation scaled to that step. Each batch between then
-    starts from exp of the cubic Lagrange interpolation, in batch index, of
-    log b over the four nearest solved batches, or from the preceding
-    batch's roots wherever that is not finite and positive. An
-    interpolated start lies closer to its solution than an extrapolated
-    one, and no other batch starts from it, so its errors do not accumulate
-    along the grid. Along :func:`~quotamatch.policies.tax_grid`'s batches
-    one floor region's subsidy moves by one step of its axis; on the
-    harness's evenly spaced axis one sweep suffices from the third batch
-    on, and only the extrapolated batches need a Newton trial.
+    The batches are solved by continuation, in order, each point from a
+    prediction of its slot roots b (square roots of the unmatched slot
+    masses). A batch's position is the running sum of the largest tax
+    change between consecutive batches. Batch t starts from exp of the
+    Lagrange extrapolation, in position, of log b over the last (up to)
+    four batches: the first batch from the cold start, the second from the
+    first's roots, the third linearly, every later one cubically. It is
+    taken as b_(t-1) * exp(sum_j l_j log(b_j / b_(t-1))) over the earlier
+    nodes j with Lagrange weights l_j, so a zero step starts from
+    the last batch's roots exactly, and a batch at the last one's position
+    replaces it as a node. Wherever the guess is not finite and positive,
+    the point starts from the last batch's roots. Along
+    :func:`~quotamatch.policies.tax_grid`'s batches one floor region's
+    subsidy moves by one step of its axis; on the harness's evenly spaced
+    axis one sweep suffices from the third batch on.
 
     Every kernel factors as ``base * scale_g`` with
     ``base = exp((phi - top) / 2) <= 1`` (``top`` the
@@ -429,8 +424,8 @@ def solve_ae_grid(spec: MarketSpec, phi, tax_grid) -> GridSolution:
     phi_arr = as_surplus_array(phi, spec)
     grid = np.asarray(tax_grid, dtype=np.float64)
     L = spec.num_regions
-    if grid.ndim not in (2, 3) or grid.shape[-1] != L:
-        raise ValueError(f"tax grid must have shape (G, {L}) or (T, P, {L})")
+    if grid.ndim not in (2, 3) or grid.shape[-1] != L or 0 in grid.shape:
+        raise ValueError(f"tax grid must have shape (G, {L}) or (T, P, {L}) with G, T, P >= 1")
     if not np.isfinite(grid).all():
         raise ValueError("tax grid entries must be finite")
     batches = grid.reshape(-1, *grid.shape[-2:])
@@ -440,47 +435,26 @@ def solve_ae_grid(spec: MarketSpec, phi, tax_grid) -> GridSolution:
     if (0.5 * (top - batches.min(axis=(0, 1))[spec.slot_region_index])).max() > _EXP_LIMIT:
         raise KernelRangeError("kernel exponent out of range somewhere on the tax grid")
     base = np.exp(0.5 * (phi_arr - top[None, :]))
-
-    def solve(t, start):
-        scale = np.exp(0.5 * (top - batches[t][:, spec.slot_region_index]))
-        return _ipfp(spec.n, spec.m, base, start, scale)
-
-    T = len(batches)
-    steps = np.diff(batches, axis=0)
-    # repeats[t - 2]: batch t steps on from batch t - 1 as that one did
-    repeats = np.isclose(steps[1:], steps[:-1]).all(axis=(1, 2))
-    stride = 2 if T >= 7 and repeats.all() else 1
-    solved = list(range(0, T, stride))
-    if solved[-1] != T - 1:
-        solved.append(T - 1)
-    results = [None] * T
-
-    def positive_or(guess, b):
-        return np.where(np.isfinite(guess) & (guess > 0.0), guess, b)
-
-    for i, t in enumerate(solved):
-        start = results[solved[i - 1]][1] if i else None
-        # With a stride of 2 every step repeats the one before it.
-        if i >= 2 and repeats[t - 2]:
-            t0, t1 = solved[i - 2], solved[i - 1]
-            # b1 * (b1 / b0)**r, linear in log b; squaring b1 first would
-            # underflow below 1e-162
+    position = np.cumsum([0.0, *np.abs(np.diff(batches, axis=0)).max(axis=(1, 2))])
+    results, nodes = [], []
+    for t, taxes in enumerate(batches):
+        start = None
+        if results:
+            # the last four batches, positions distinct
+            nodes = [s for s in nodes if position[s] != position[t - 1]][-3:] + [t - 1]
+            b = results[-1][1]
             with np.errstate(all="ignore"):
-                guess = start * (start / results[t0][1]) ** ((t - t1) / (t1 - t0))
-            start = positive_or(guess, start)
-        results[t] = solve(t, start)
-    for t in sorted(set(range(T)) - set(solved)):
-        # Cubic Lagrange interpolation in t of log b over the four nearest
-        # solved batches; no later batch starts from its result.
-        first = min(max(solved.index(t - 1) - 1, 0), len(solved) - 4)
-        nodes = solved[first : first + 4]
-        x = np.array(nodes, dtype=np.float64)
-        offsets = t - x
-        weights = offsets.prod() / offsets / (x[:, None] - x + np.eye(4)).prod(axis=1)
-        with np.errstate(all="ignore"):
-            guess = np.exp(sum(w * np.log(results[s][1]) for w, s in zip(weights, nodes)))
-        results[t] = solve(t, positive_or(guess, results[t - 1][1]))
-    P = batches.shape[1]
+                guess = b * np.exp(
+                    sum(
+                        math.prod((position[t] - position[r]) / (position[s] - position[r]) for r in nodes if r != s)
+                        * np.log(results[s][1] / b)
+                        for s in nodes[:-1]
+                    )
+                )
+            start = np.where(np.isfinite(guess) & (guess > 0.0), guess, b)
+        scale = np.exp(0.5 * (top - taxes[:, spec.slot_region_index]))
+        results.append(_ipfp(spec.n, spec.m, base, start, scale))
+    T, P = batches.shape[:2]
     region_mass = np.empty((T, P, L))
     revenue = np.empty((T, P))
     social_welfare = np.empty((T, P))
@@ -497,7 +471,7 @@ def solve_ae_grid(spec: MarketSpec, phi, tax_grid) -> GridSolution:
         region_mass=region_mass.reshape(-1, L),
         revenue=revenue.ravel(),
         social_welfare=social_welfare.ravel(),
-        iterations=max(sweeps),
+        iterations=sum(sweeps),
         residual=residual,
         converged=residual <= POPULATION_TOLERANCE,
     )

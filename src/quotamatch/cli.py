@@ -20,10 +20,8 @@ budget-balance grid (:func:`quotamatch.policies.tax_grid`) has
 |tax grid| * |subsidy grid|**(L-1) points for L regions and is rejected
 (exit 1) before any solve when too large; :func:`quotamatch.policies.bbae`
 solves it once for all floor levels, on one thread, in batches along the
-last floor region's subsidy axis: every other batch is warm-started by
-extrapolation from the solved batches before it, each batch between by
-interpolation from its solved neighbours. It prices each point in closed
-form. A floor level the optimal tax cannot meet gives exit 3; its other
+last floor region's subsidy axis: solved batch by batch by continuation
+(:func:`quotamatch.ae.solve_ae_grid`) and priced in closed form. A floor level the optimal tax cannot meet gives exit 3; its other
 three policy rows are still written.
 
 ``experiment --jobs K`` runs the replications on K worker processes; it is

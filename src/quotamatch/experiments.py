@@ -10,9 +10,7 @@ Replications and floor levels are independent; the harness output is a pure
 function of the configuration, so parallel execution (see the CLI's jobs
 flag, the only parallelism) produces byte-identical files. A replication runs
 on one thread: its budget-balance grid is solved in batches along one floor
-region's subsidy, every other batch started from the roots extrapolated from
-the two solved before it and each batch between from the roots interpolated
-from its solved neighbours, and priced in closed form
+region's subsidy, batch by batch by continuation, and priced in closed form
 (:func:`~quotamatch.ae.solve_ae_grid`).
 Within a replication a floor level's scan outcome is reused at any later,
 higher level whose floors it meets, or whose floors it did not meet at its

@@ -228,11 +228,9 @@ def bbae(
     ``grid`` is a (G, L) array of tax vectors or a (T, P, L) stack of
     batches (:func:`tax_grid`), taken in row order: flattened, batch after
     batch. The zero-constraint equilibrium is solved and priced once at
-    every grid row (:func:`~quotamatch.ae.solve_ae_grid`): on an evenly
-    stepped grid every other batch is solved by continuation from the roots
-    extrapolated from the two solved before it, and each batch between is
-    started from the roots interpolated from its solved neighbours. For
-    each mapping of target floors the selection keeps rows with nonnegative
+    every grid row, solved batch by batch by continuation
+    (:func:`~quotamatch.ae.solve_ae_grid`). For each mapping of target
+    floors the selection keeps rows with nonnegative
     policymaker revenue whose region masses meet every floor, then maximizes social
     welfare over the kept set (first maximizer wins, so the reduction is independent of
     evaluation order). With an empty kept set it falls back to all

@@ -155,8 +155,8 @@ def assert_priced_like_solve_ae(batch, spec, phi, tol, welfare_tol=None):
 def gridded_markets(draw):
     """Up to 3 x 3 markets over up to three regions, with masses from 1e-6 to
     1e3 and surplus within +-40, and a (T, P, L) tax grid: either 2-3
-    batches of arbitrary taxes, or 7-10 batches each one step of at most 2
-    per region on from the last, whose in-between batches are interpolated."""
+    batches of arbitrary taxes, or 7-10 batches each 0, 1 or 2 steps on from
+    the last, a step being at most 2 per region."""
     num_workers, num_slots = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     num_regions = draw(st.integers(1, num_slots))
     region = draw(st.permutations(range(num_slots)))
@@ -176,15 +176,16 @@ def gridded_markets(draw):
     )
     size = num_workers * num_slots
     phi = np.array(draw(st.lists(st.floats(-40.0, 40.0), min_size=size, max_size=size)))
-    evenly_stepped = draw(st.booleans())
-    shape = (1 if evenly_stepped else draw(st.integers(2, 3)), draw(st.integers(1, 3)), num_regions)
+    stepped = draw(st.booleans())
+    shape = (1 if stepped else draw(st.integers(2, 3)), draw(st.integers(1, 3)), num_regions)
     size = int(np.prod(shape))
     taxes = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=size, max_size=size)))
     taxes = taxes.reshape(shape)
-    if evenly_stepped:
+    if stepped:
         steps = st.lists(st.floats(-2.0, 2.0), min_size=num_regions, max_size=num_regions)
         step = np.array(draw(steps))
-        taxes = taxes + np.arange(draw(st.integers(7, 10)))[:, None, None] * step
+        multiples = np.cumsum([0] + draw(st.lists(st.integers(0, 2), min_size=6, max_size=9)))
+        taxes = taxes + multiples[:, None, None] * step
     return spec, phi.reshape(num_workers, num_slots), taxes
 
 
@@ -198,8 +199,8 @@ class TestGridSolve:
 
     def test_rejects_bad_shape(self, example_market):
         spec, phi = example_market
-        for shape in ((4, 3), (2, 2, 3), (1, 1, 1, 2), (2,)):
-            with pytest.raises(ValueError):
+        for shape in ((4, 3), (2, 2, 3), (1, 1, 1, 2), (2,), (0, 2), (3, 0, 2), (0, 4, 2)):
+            with pytest.raises(ValueError, match="tax grid must have shape"):
                 solve_ae_grid(spec, phi, np.zeros(shape))
 
     def test_rejects_non_finite_grid(self, example_market):
@@ -259,27 +260,24 @@ class TestGridSolve:
     @pytest.mark.parametrize("capped", [False, True])
     def test_blocks_join_at_their_seams(self, example_market, capped, monkeypatch):
         # Three batches of four points; the near-saturated middle batch needs
-        # the most sweeps, and the last batch starts from its solution. Capped
-        # at 20 sweeps it does not converge.
+        # the most sweeps. Capped at 20 sweeps it does not converge.
         spec, phi = example_market
         grid = np.column_stack([np.linspace(-1.0, 2.0, 12), np.linspace(0.5, -0.5, 12)])
         grid[4:8] = [[-20.0, -20.0], [-30.0, 5.0], [-40.0, -40.0], [-25.0, -35.0]]
         ipfp, batches = ae._ipfp, []
 
         def recording_ipfp(n, m, kernel, b0, scale):
-            batches.append((b0, ipfp(n, m, kernel, b0, scale)))
-            return batches[-1][-1]
+            batches.append(ipfp(n, m, kernel, b0, scale))
+            return batches[-1]
 
         monkeypatch.setattr(ae, "_ipfp", recording_ipfp)
         if capped:
             monkeypatch.setattr(ae, "MAX_ITERATIONS", 20)
         batch = solve_ae_grid(spec, phi, grid.reshape(3, 4, 2))
-        assert len(batches) == 3 and batches[0][0] is None
-        for (_, (_, b, _, _)), (b0, _) in zip(batches, batches[1:]):
-            assert np.array_equal(b0, b)
-        sweeps = [iterations for _, (_, _, iterations, _) in batches]
-        assert sweeps[1] == max(sweeps) == batch.iterations
-        assert batch.residual == max(residual for _, (_, _, _, residual) in batches)
+        sweeps = [iterations for _, _, iterations, _ in batches]
+        assert sweeps == ([12, 20, 9] if capped else [12, 33, 9])
+        assert batch.iterations == sum(sweeps)
+        assert batch.residual == max(residual for _, _, _, residual in batches)
         assert batch.converged != capped
         assert np.array_equal(batch.taxes, grid)
         monkeypatch.undo()
@@ -288,13 +286,20 @@ class TestGridSolve:
             # residual, which near saturation meets log factors of about 40.
             assert_priced_like_solve_ae(batch, spec, phi, 1e-9, welfare_tol=1e-8)
 
-    def test_evenly_spaced_batches_start_from_extrapolated_roots(self, example_market, monkeypatch):
-        # Six batches of three points, each one step of (0.4, -0.2) on from
-        # the last: from the third on, a batch starts from the log-linear
-        # extrapolation b_t**2 / b_(t-1) of the last two batches' roots.
+    @pytest.mark.parametrize(
+        "offsets",
+        [range(8), (0, 1, 2, 3, 4, 6, 7, 8), (0, 1, 2, 2, 3, 4, 5)],
+        ids=["even", "uneven", "repeated"],
+    )
+    def test_batches_start_from_the_extrapolation_in_position(self, example_market, offsets, monkeypatch):
+        # Batches of three points at the given multiples of a step of
+        # (0.3, -0.15): each starts from exp of the polynomial through log b
+        # at the last (up to) four distinct positions, evaluated at its own,
+        # where a batch repeated at one position stands for it. A zero step
+        # starts from the last roots exactly.
         spec, phi = example_market
         points = np.array([[0.0, 0.0], [0.5, -0.1], [2.0, 0.3]])
-        grid = points + 0.4 * np.arange(6)[:, None, None] * np.array([1.0, -0.5])
+        grid = points + 0.3 * np.array(offsets)[:, None, None] * np.array([1.0, -0.5])
         ipfp, starts, roots = ae._ipfp, [], []
 
         def recording_ipfp(n, m, kernel, b0, scale):
@@ -305,118 +310,47 @@ class TestGridSolve:
 
         monkeypatch.setattr(ae, "_ipfp", recording_ipfp)
         batch = solve_ae_grid(spec, phi, grid)
-        assert starts[0] is None and np.array_equal(starts[1], roots[0])
-        for t in range(2, 6):
-            assert np.array_equal(starts[t], roots[t - 1] * (roots[t - 1] / roots[t - 2]))
+        assert len(starts) == len(offsets) and starts[0] is None
+        for t in range(1, len(offsets)):
+            if offsets[t] == offsets[t - 1]:
+                assert np.array_equal(starts[t], roots[t - 1])
+                continue
+            latest = {0.3 * offsets[s]: np.log(roots[s]) for s in range(t)}
+            x = np.array(list(latest))[-4:]
+            log_b = np.array(list(latest.values()))[-4:]
+            coefficients = np.linalg.solve(np.vander(x), log_b.reshape(len(x), -1))
+            want = np.exp(np.vander([0.3 * offsets[t]], len(x)) @ coefficients).reshape(log_b.shape[1:])
+            np.testing.assert_allclose(starts[t], want, rtol=1e-12, err_msg=str(t))
         monkeypatch.undo()
         assert batch.converged
         assert_priced_like_solve_ae(batch, spec, phi, 1e-9)
 
-    def test_extrapolation_out_of_range_falls_back_to_the_last_roots(self, example_market, monkeypatch):
-        # Prescribed roots for three evenly spaced one-point batches: the
-        # extrapolation of the second slot underflows and of the third
-        # overflows, so those two start from the second batch's roots.
-        spec, phi = example_market
-        prescribed = iter([[0.5, 1.0, 1e-200], [0.25, 1e-200, 1e150], [0.2, 0.2, 0.2]])
-        starts = []
-
-        def prescribed_ipfp(n, m, kernel, b0, scale):
-            starts.append(b0)
-            return np.ones((1, n.size)), np.array([next(prescribed)]), 1, 0.0
-
-        monkeypatch.setattr(ae, "_ipfp", prescribed_ipfp)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            solve_ae_grid(spec, phi, np.array([[[0.0, 0.0]], [[0.5, 0.1]], [[1.0, 0.2]]]))
-        assert starts[2].tolist() == [[0.125, 1e-200, 1e150]]
-
-    def test_batches_between_start_from_interpolated_roots(self, example_market, monkeypatch):
-        # Nine evenly stepped batches of three points: batches 0, 2, ..., 8
-        # are solved by continuation at a double step, and each batch between
-        # starts from the cubic Lagrange interpolation in t of log b over the
-        # four nearest of them; the weights below are in sixteenths.
-        spec, phi = example_market
-        points = np.array([[0.0, 0.0], [0.5, -0.1], [2.0, 0.3]])
-        grid = points + 0.3 * np.arange(9)[:, None, None] * np.array([1.0, -0.5])
-        top = as_surplus_array(phi, spec).max(axis=0)
-        scales = np.exp(0.5 * (top - grid[..., spec.slot_region_index]))
-        ipfp, order, starts, roots = ae._ipfp, [], {}, {}
-
-        def recording_ipfp(n, m, kernel, b0, scale):
-            t = int(np.argmin(np.abs(scales - scale).max(axis=(1, 2))))
-            result = ipfp(n, m, kernel, b0, scale)
-            order.append(t)
-            starts[t], roots[t] = b0, result[1]
-            return result
-
-        monkeypatch.setattr(ae, "_ipfp", recording_ipfp)
-        batch = solve_ae_grid(spec, phi, grid)
-        assert order == [0, 2, 4, 6, 8, 1, 3, 5, 7]
-        assert starts[0] is None and np.array_equal(starts[2], roots[0])
-        for t in (4, 6, 8):
-            assert np.array_equal(starts[t], roots[t - 2] * (roots[t - 2] / roots[t - 4]))
-        interpolants = {
-            1: ((0, 2, 4, 6), (5, 15, -5, 1)),
-            3: ((0, 2, 4, 6), (-1, 9, 9, -1)),
-            5: ((2, 4, 6, 8), (-1, 9, 9, -1)),
-            7: ((2, 4, 6, 8), (1, -5, 15, 5)),
-        }
-        for t, (nodes, weights) in interpolants.items():
-            log_b = sum(w / 16 * np.log(roots[s]) for w, s in zip(weights, nodes))
-            assert np.array_equal(starts[t], np.exp(log_b)), t
-        monkeypatch.undo()
-        assert batch.converged
-        assert_priced_like_solve_ae(batch, spec, phi, 1e-9)
-
-    def test_unevenly_stepped_batches_are_solved_in_order(self, example_market, monkeypatch):
-        # Eight batches at 0, 1, 2, 3, 4, 6, 7, 8 steps: all are solved in
-        # order, and a batch starts from the extrapolated roots only where
-        # its step repeats the previous one.
-        spec, phi = example_market
-        points = np.array([[0.0, 0.0], [0.5, -0.1], [2.0, 0.3]])
-        offsets = np.array([0, 1, 2, 3, 4, 6, 7, 8])[:, None, None]
-        grid = points + 0.3 * offsets * np.array([1.0, -0.5])
-        ipfp, starts, roots = ae._ipfp, [], []
-
-        def recording_ipfp(n, m, kernel, b0, scale):
-            result = ipfp(n, m, kernel, b0, scale)
-            starts.append(b0)
-            roots.append(result[1])
-            return result
-
-        monkeypatch.setattr(ae, "_ipfp", recording_ipfp)
-        assert solve_ae_grid(spec, phi, grid).converged
-        assert len(starts) == 8 and starts[0] is None
-        for t in range(1, 8):
-            b = roots[t - 1]
-            want = b * (b / roots[t - 2]) if t in (2, 3, 4, 7) else b
-            assert np.array_equal(starts[t], want), t
-
-    def test_interpolation_out_of_range_falls_back_to_the_nearest_roots(self, example_market, monkeypatch):
-        # Prescribed roots for seven evenly spaced one-point batches, of which
-        # 0, 2, 4 and 6 are solved first: batch 1's interpolant of the second
-        # slot underflows and of the third overflows, so those two start from
-        # batch 0's roots. The prescription runs out at batch 3, before roots
-        # of 1e300 would be squared in pricing.
+    def test_guess_out_of_range_falls_back_to_the_last_roots(self, example_market, monkeypatch):
+        # Prescribed roots for three evenly spaced batches of two points:
+        # batch 2 starts from the linear extrapolation b_1**2 / b_0 where it
+        # is finite and positive. It underflows at (0, 1), overflows at
+        # (0, 2), and comes from a zero root at (1, 0) and (1, 1), so those
+        # start from batch 1's roots. The prescription runs out at batch 2,
+        # before its roots are priced.
         spec, phi = example_market
         prescribed = iter(
-            [[0.5, 1e-300, 1e300], [0.25, 1e-300, 1e300], [0.125, 1e300, 1e-300], [0.0625, 1e-300, 1e300]]
-            + [[1.0, 1.0, 1.0]]
+            [[[0.5, 1.0, 1e-200], [0.0, 1.0, 1.0]], [[0.25, 1e-200, 1e150], [0.5, 0.0, 1.0]]]
         )
         starts = []
 
         def prescribed_ipfp(n, m, kernel, b0, scale):
             starts.append(b0)
-            return np.ones((1, n.size)), np.array([next(prescribed)]), 1, 0.0
+            return np.ones((2, n.size)), np.array(next(prescribed)), 1, 0.0
 
         monkeypatch.setattr(ae, "_ipfp", prescribed_ipfp)
-        grid = 0.1 * np.arange(7)[:, None, None] * np.array([[[1.0, 2.0]]])
+        grid = 0.1 * np.arange(3)[:, None, None] * np.array([[[1.0, 2.0], [1.0, 2.0]]])
         with warnings.catch_warnings(), pytest.raises(StopIteration):
             warnings.simplefilter("error")
             solve_ae_grid(spec, phi, grid)
-        assert len(starts) == 6
-        assert starts[4][0, 0] == pytest.approx(2.0**-1.5, rel=1e-14)
-        assert starts[4][0, 1:].tolist() == [1e-300, 1e300]
+        assert len(starts) == 3
+        assert starts[2][0, 0] == pytest.approx(0.125, rel=1e-14)
+        assert starts[2][0, 1:].tolist() == [1e-200, 1e150]
+        assert starts[2][1].tolist() == [0.5, 0.0, 1.0]
 
     def test_runs_under_the_callers_error_state(self, example_market, monkeypatch):
         spec, phi = example_market

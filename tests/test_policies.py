@@ -206,11 +206,9 @@ class TestBudgetBalancedPolicy:
             assert result.welfare.social == pytest.approx(social[best], abs=1e-8)
 
     def test_default_grid_batches_take_one_sweep_each(self, jrmp, monkeypatch):
-        # Batches step along the fine subsidy axis. Every other one starts
-        # from the roots extrapolated from the two solved before it, and the
-        # ones between from the roots interpolated from their solved
-        # neighbours, so after the first two each takes one sweep, and only
-        # the extrapolated ones need a Newton trial.
+        # Batches step along the fine subsidy axis, solved batch by batch by
+        # continuation (ae.solve_ae_grid), so after the first two each takes
+        # one sweep.
         ipfp, sweeps = ae._ipfp, []
         solve_log_jacobian, trials = ae._solve_log_jacobian, []
 
