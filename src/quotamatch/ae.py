@@ -169,13 +169,14 @@ def _ipfp(n, m, kernel, b0=None, scale=1.0):
         # A trial far from the solution may overflow; it is then rejected,
         # and its floating-point flags are discarded with it.
         with np.errstate(all="ignore"):
-            cross, excess = _log_jacobian(a, b, kernel, scale)[:2]
+            cross, excess = _log_jacobian(a, b, kernel, 2.0 * b + t, scale)
             try:
                 step = _solve_log_jacobian(cross, excess, -worker[..., None])[..., 0]
             except np.linalg.LinAlgError:
                 continue
             longest = np.abs(step).max(axis=-1)
-            a_new = a * np.exp(np.clip(step, -radius[..., None], radius[..., None]))
+            reach = radius[..., None]
+            a_new = a * np.exp(np.minimum(np.maximum(step, -reach), reach))
             t_new, b_new, s_new = slot_half_sweep(a_new)
             res_new = residuals(a_new * a_new + a_new * s_new - n, b_new * b_new + b_new * t_new - m)
             before, after = potential(a, b, s), potential(a_new, b_new, s_new)
@@ -192,7 +193,7 @@ def _ipfp(n, m, kernel, b0=None, scale=1.0):
     return a, b, iterations, float(worst)
 
 
-def _log_jacobian(a, b, kernel, scale=1.0):
+def _log_jacobian(a, b, kernel, d_b, scale=1.0):
     """Jacobian of the worker residual in log a, the slot side eliminated.
 
     For F_x = a_x**2 + a_x (K b)_x - n_x and G_y = b_y**2 + b_y (K'a)_y - m_y
@@ -200,26 +201,25 @@ def _log_jacobian(a, b, kernel, scale=1.0):
     H = diag(excess + cross 1) - cross with
     cross_xz = sum_y (a_x K_xy)(a_z K_zy) b_y / d_b_y for x != z and
     excess_x = 2 a_x**2 + 2 sum_y a_x K_xy b_y**2 / d_b_y, where
-    d_b = 2b + K'a. It is the Hessian of the reduced potential: symmetric,
+    ``d_b`` = 2b + K'a. It is the Hessian of the reduced potential: symmetric,
     positive definite, a graph Laplacian plus a positive diagonal. Its parts
     are sums of positive terms bounded by the matched masses, so none
     cancels and none overflows where the masses do not. With a (G, M)
-    ``scale`` and stacked (G, N) ``a``, (G, M) ``b`` it returns G of each.
-    Returns (cross, excess, d_b).
+    ``scale`` and stacked (G, N) ``a``, (G, M) ``b`` and ``d_b`` it returns
+    G of each. Returns (cross, excess).
     """
-    d_b = 2.0 * b + (a @ kernel) * scale
     # b / d_b can underflow where a saturated slot faces a large kernel, so
     # it is never formed: share = a_x K_xy / d_b_y is at most one, and the
     # off-diagonal factor a_x K_xy sqrt(b_y / d_b_y) is share sqrt(b_y d_b_y).
     share = a[..., :, None] * kernel
-    share *= (scale / d_b)[..., None, :] if np.ndim(scale) else 1.0 / d_b
+    share *= (scale / d_b)[..., None, :]
     excess = 2.0 * a * a + 2.0 * np.einsum("...xy,...y->...x", share, b * b)
     root = share
     root *= (np.sqrt(b) * np.sqrt(d_b))[..., None, :]
     cross = root @ root.swapaxes(-1, -2)
     diagonal = np.arange(a.shape[-1])
     cross[..., diagonal, diagonal] = 0.0
-    return cross, excess, d_b
+    return cross, excess
 
 
 def _solve_log_jacobian(cross, excess, rhs):
@@ -287,16 +287,23 @@ class FixedPoint:
         return np.bincount(spec.slot_region_index, weights=per_slot, minlength=spec.num_regions)
 
     def mass_jacobian(self) -> np.ndarray:
-        """Exact d(region mass)/d(tax), shape (L, L).
+        """Exact d(region mass)/d(tax), shape (L, L), symmetric.
 
         Raising w_z moves surplus minus tax by -[y in z]; region mass is the
-        sum of m_y - b_y**2 over its slots.
+        sum of m_y - b_y**2 over its slots. Along that direction the
+        :meth:`tangent` has r = -mu R / 2 and s_y = -c_y R_yz / 2, with
+        c = mu'1 = b * K'a and R the region indicator; its right-hand side
+        reduces to P = (a K * b**2 / d_b) R, the slot terms of ``excess``
+        summed region by region, and
+        J = 2 P' H^-1 P - diag(P'1).
+        The cost is O(N M (N + L)) for H and P plus one N x N solve with L
+        right-hand sides; no (M, L) array is formed but the indicator R.
         """
-        b = self.b
-        R = np.eye(self.spec.num_regions)[self.spec.slot_region_index]
-        mu = self.a[:, None] * self.kernel * b[None, :]
-        _, db = self.tangent(-0.5 * mu @ R, -0.5 * mu.sum(axis=0)[:, None] * R)
-        return -2.0 * R.T @ (b[:, None] * db)
+        a, b, kernel = self.a, self.b, self.kernel
+        d_b = 2.0 * b + a @ kernel
+        P = (a[:, None] * kernel / d_b * (b * b)) @ self.spec.region_indicator
+        solved = _solve_log_jacobian(*_log_jacobian(a, b, kernel, d_b), P)
+        return 2.0 * P.T @ solved - np.diag(P.sum(axis=0))
 
     def value(self) -> float:
         """Equilibrium value W = G(U) + H(V).
@@ -318,7 +325,8 @@ class FixedPoint:
         Returns (da, db) of shapes (N, D) and (M, D).
         """
         a, b, kernel = self.a, self.b, self.kernel
-        cross, excess, d_b = _log_jacobian(a, b, kernel)
+        d_b = 2.0 * b + a @ kernel
+        cross, excess = _log_jacobian(a, b, kernel, d_b)
         aK = a[:, None] * kernel
         da = a[:, None] * _solve_log_jacobian(cross, excess, aK @ (s / d_b[:, None]) - r)
         db = -(s + (kernel * b[None, :]).T @ da) / d_b[:, None]

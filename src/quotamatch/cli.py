@@ -148,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="master seed for all randomness")
     p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
 
-    p = sub.add_parser("bench", help="time the constrained solver across market sizes")
+    p = sub.add_parser("bench", help="time the constrained solver on binding markets across sizes")
     p.add_argument("--worker-types", default="10,20", help="worker type counts: lo:hi:step or comma list")
     p.add_argument("--regions", default="5:100:5", help="region counts: lo:hi:step or comma list")
     p.add_argument("--trials", type=int, default=10)
@@ -302,7 +302,8 @@ def _cmd_bench(args) -> int:
     for r in rows:
         print(
             f"|X|={r.num_worker_types} |Z|={r.num_regions}: "
-            f"{r.mean_seconds:.3f}s converged={r.converged}"
+            f"{r.mean_seconds:.4f}s {r.newton_steps:g} Newton steps, "
+            f"{r.binding_frac:.2f} binding, converged={r.converged}"
         )
     return EXIT_OK if ok else EXIT_NOT_CONVERGED
 

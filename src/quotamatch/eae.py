@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import ae
-from .logit import g_gradient, g_value, h_gradient, h_value, matching_value
+from .logit import g_value, g_value_and_gradient, h_value, h_value_and_gradient, matching_value
 from .market import (
     Diagnostics,
     EquilibriumResult,
@@ -120,15 +120,17 @@ def solve_eae(spec: MarketSpec, phi, initial_taxes=None) -> EquilibriumResult:
     w = np.clip(as_tax_array(initial_taxes, spec), -floor_limit, ceiling_limit)
     masses, value = evaluate(w)
     half_tol = 0.5 * CONSTRAINT_TOLERANCE
+    over, under = spec.upper + half_tol, spec.lower - half_tol
+    log_masses = np.log(np.concatenate([spec.n, spec.m]))
     steps, step, trust = 0, np.inf, 1.0
     while steps < _NEWTON_STEPS:
-        ceiling = (w > 0.0) | ((w == 0.0) & (masses > spec.upper + half_tol))
-        floor = (w < 0.0) | ((w == 0.0) & (masses < spec.lower - half_tol))
+        ceiling = (w > 0.0) | ((w == 0.0) & (masses > over))
+        floor = (w < 0.0) | ((w == 0.0) & (masses < under))
         bound = np.where(ceiling, spec.upper, spec.lower)
         gap = np.where(ceiling | floor, masses - bound, 0.0)
         lo = np.where(floor, -floor_limit, 0.0)
         hi = np.where(ceiling, ceiling_limit, 0.0)
-        eps = min(trust, np.abs(w - np.clip(w + gap, lo, hi)).max())
+        eps = min(trust, np.abs(w - np.minimum(np.maximum(w + gap, lo), hi)).max())
         held = ((w <= lo + eps) & (gap <= 0.0)) | ((w >= hi - eps) & (gap >= 0.0))
         free = ~held
         direction = np.where(held, np.where(gap <= 0.0, lo, hi) - w, 0.0)
@@ -138,13 +140,13 @@ def solve_eae(spec: MarketSpec, phi, initial_taxes=None) -> EquilibriumResult:
             break
         # W is exact only up to the population residual, each unit of which
         # moves it by log(n / unmatched mass) of its type (envelope theorem).
-        logs = np.log(np.concatenate([spec.n, spec.m])) - 2.0 * np.log(np.concatenate([fp.a, fp.b]))
+        logs = log_masses - 2.0 * np.log(np.concatenate([fp.a, fp.b]))
         noise = ae.POPULATION_TOLERANCE * logs.sum()
         with np.errstate(all="ignore"):
-            hessian = -fp.mass_jacobian()[np.ix_(free, free)]
+            hessian = -fp.mass_jacobian()[free][:, free]
             # A curvature the fixed point does not resolve, such as that of a
             # region whose mass has underflowed, gets a finite step.
-            hessian[np.diag_indices_from(hessian)] += ae.POPULATION_TOLERANCE
+            hessian.flat[:: len(hessian) + 1] += ae.POPULATION_TOLERANCE
             try:
                 d = np.linalg.solve(hessian, gap[free])
             except np.linalg.LinAlgError:
@@ -156,7 +158,7 @@ def solve_eae(spec: MarketSpec, phi, initial_taxes=None) -> EquilibriumResult:
         # the gap falls while the objective stays within it.
         alpha = 1.0
         while True:
-            trial = np.clip(w + alpha * direction, lo, hi)
+            trial = np.minimum(np.maximum(w + alpha * direction, lo), hi)
             step = np.abs(trial - w).max()
             trial_masses, trial_value = evaluate(trial)
             trial_res = np.abs(trial_masses - bound)[free].max(initial=0.0)
@@ -232,12 +234,17 @@ def dual_value(U, V, taxes, spec: MarketSpec) -> float:
     component is strictly positive, so infinite ceilings never contribute.
     """
     w = as_tax_array(taxes, spec)
+    return _dual_value(g_value(U, spec), h_value(V, spec), w, spec)
+
+
+def _dual_value(g: float, h: float, w: np.ndarray, spec: MarketSpec) -> float:
+    # dual_value from the two sides' values G(U) and H(V)
     ceil_part = np.maximum(w, 0.0)
     floor_part = np.maximum(-w, 0.0)
     taxed = ceil_part > 0.0
     ceil_term = float((spec.upper[taxed] * ceil_part[taxed]).sum())
     floor_term = float((spec.lower * floor_part).sum())
-    return g_value(U, spec) + h_value(V, spec) + ceil_term - floor_term
+    return g + h + ceil_term - floor_term
 
 
 def verify_kkt(result: EquilibriumResult, spec: MarketSpec, phi=None, tol: float = 1e-6) -> KKTReport:
@@ -250,7 +257,7 @@ def verify_kkt(result: EquilibriumResult, spec: MarketSpec, phi=None, tol: float
     mu = result.matching
     U = result.utilities.U
     V = result.utilities.V
-    w = result.taxes.w
+    w = as_tax_array(result.taxes, spec)
     w_slot = w[spec.slot_region_index]
     if phi is None:
         phi_arr = U + V + w_slot[None, :]
@@ -262,8 +269,8 @@ def verify_kkt(result: EquilibriumResult, spec: MarketSpec, phi=None, tol: float
     slack = U + V - (phi_arr - w_slot[None, :])
     noblocking_min_slack = float(slack.min(initial=0.0))
 
-    grad_w = g_gradient(U, spec)
-    grad_s = h_gradient(V, spec)
+    g, grad_w = g_value_and_gradient(U, spec)
+    h, grad_s = h_value_and_gradient(V, spec)
     clearing_residual = float(
         max(
             np.abs(mu.matched - grad_w[:, 1:]).max(initial=0.0),
@@ -281,15 +288,12 @@ def verify_kkt(result: EquilibriumResult, spec: MarketSpec, phi=None, tol: float
     # Pair-level complementarity: positive matched mass forces a binding
     # constraint. Region-level: a nonzero tax forces its bound to hold.
     pair_cs = float(np.abs(slack[mu.matched > tol]).max(initial=0.0))
-    region_cs = 0.0
-    for zi in range(spec.num_regions):
-        if w[zi] > tol:
-            region_cs = max(region_cs, abs(masses[zi] - spec.upper[zi]))
-        elif w[zi] < -tol:
-            region_cs = max(region_cs, abs(masses[zi] - spec.lower[zi]))
+    taxed = w > tol
+    held = taxed | (w < -tol)
+    region_cs = float(np.abs(masses - np.where(taxed, spec.upper, spec.lower))[held].max(initial=0.0))
     cs_residual = max(pair_cs, region_cs)
 
-    dual = dual_value(U, V, result.taxes, spec)
+    dual = _dual_value(g, h, w, spec)
     primal = float(matching_value(mu, phi_arr, spec))
     gap = abs(dual - primal)
 

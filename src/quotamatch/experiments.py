@@ -39,7 +39,7 @@ from .policies import (
     policy_result,
     tax_grid,
 )
-from .rng import SplitMix64
+from .rng import SplitMix64, derive_seed
 
 __all__ = [
     "JrmpConfig",
@@ -49,6 +49,7 @@ __all__ = [
     "BenchRow",
     "gen_jrmp_market",
     "gen_scaling_market",
+    "binding_market",
     "run_lower_bound_sweep",
     "bench_eae",
     "write_panels_csv",
@@ -71,6 +72,9 @@ URBAN_REGION = "z1"
 FLOOR_REGIONS = ("z2", "z3")
 #: slot types per region in the scaling benchmark's markets
 HOSPITALS_PER_REGION = 10
+#: each binding market's quota is this relative interval around its region's
+#: mass at the witness tax
+QUOTA_HALF_WIDTH = 0.02
 
 _PANEL_METRICS = ("social_welfare", "agent_welfare", "pm_surplus", "urban_mass", "rural_mass")
 _POLICIES = ("unconstrained", "eae", "bbae", "eae_upper_bound", "cap_reduced")
@@ -100,8 +104,9 @@ class JrmpConfig:
 
 @dataclass(frozen=True)
 class ScalingConfig:
-    """Grid of market sizes for the solver timing benchmark; each market has
-    ``HOSPITALS_PER_REGION`` slot types per region."""
+    """Grid of market sizes for the solver timing benchmark, which times
+    :func:`binding_market` draws; each has ``HOSPITALS_PER_REGION`` slot types
+    per region."""
 
     worker_type_counts: tuple[int, ...] = (10, 20)
     region_counts: tuple[int, ...] = tuple(range(5, 101, 5))
@@ -171,6 +176,25 @@ def gen_scaling_market(
         np.full(num_regions, 0.3 / num_regions),
     )
     return spec, phi
+
+
+def binding_market(
+    num_worker_types: int, num_regions: int, seed: int
+) -> tuple[MarketSpec, SurplusMatrix]:
+    """Scaling market whose quotas bind at a random witness tax.
+
+    Each region gets the interval of +-``QUOTA_HALF_WIDTH`` (relative) around
+    its matched mass at a tax drawn uniformly from [-1, 1]. The witness
+    matching meets every quota, so the market is feasible; the zero-tax
+    masses mostly fall outside the intervals, so most quotas bind.
+    """
+    spec, phi = gen_scaling_market(num_worker_types, num_regions, seed)
+    rng = SplitMix64(derive_seed(seed, "witness-tax"))
+    witness = np.array([2.0 * rng.next_uniform() - 1.0 for _ in range(num_regions)])
+    masses = region_masses(solve_ae(spec, phi, witness).matching, spec)
+    upper = {z: (1.0 + QUOTA_HALF_WIDTH) * v for z, v in zip(spec.regions, masses)}
+    lower = {z: (1.0 - QUOTA_HALF_WIDTH) * v for z, v in zip(spec.regions, masses)}
+    return spec.with_quotas(upper=upper, lower=lower), phi
 
 
 @dataclass(frozen=True)
@@ -384,27 +408,36 @@ def _sweep_worker(args) -> list[SweepRecord]:
 
 @dataclass(frozen=True)
 class BenchRow:
+    """Means over a size's trials: seconds per solve, Newton steps of the tax
+    search, and the share of regions taxed or subsidized."""
+
     num_worker_types: int
     num_regions: int
     mean_seconds: float
+    newton_steps: float
+    binding_frac: float
     converged: bool
 
 
 def bench_eae(cfg: ScalingConfig) -> list[BenchRow]:
-    """Time the constrained solve over the configured size grid."""
+    """Time the constrained solve on binding markets over the size grid."""
     rows = []
     for nx in cfg.worker_type_counts:
         for nz in cfg.region_counts:
-            times = []
+            times, steps, binding = [], [], []
             converged = True
             for trial in range(cfg.trials):
                 seed = SplitMix64(cfg.master_seed ^ (nx * 1_000_003 + nz * 101 + trial)).next_uint64()
-                spec, phi = gen_scaling_market(nx, nz, seed)
+                spec, phi = binding_market(nx, nz, seed)
                 start = time.perf_counter()
                 result = solve_eae(spec, phi)
                 times.append(time.perf_counter() - start)
+                steps.append(result.diagnostics.outer_iterations)
+                binding.append(np.count_nonzero(result.taxes.w) / nz)
                 converged = converged and result.diagnostics.converged
-            rows.append(BenchRow(nx, nz, float(np.mean(times)), converged))
+            rows.append(
+                BenchRow(nx, nz, *(float(np.mean(v)) for v in (times, steps, binding)), converged)
+            )
     return rows
 
 
@@ -464,6 +497,9 @@ def write_records_csv(records: Sequence[SweepRecord], path) -> None:
 def write_bench_csv(rows: Sequence[BenchRow], path) -> None:
     _write_csv(
         path,
-        ("num_worker_types", "num_regions", "mean_seconds", "converged"),
-        [(r.num_worker_types, r.num_regions, r.mean_seconds, r.converged) for r in rows],
+        ("num_worker_types", "num_regions", "mean_seconds", "newton_steps", "binding_frac", "converged"),
+        [
+            (r.num_worker_types, r.num_regions, r.mean_seconds, r.newton_steps, r.binding_frac, r.converged)
+            for r in rows
+        ],
     )

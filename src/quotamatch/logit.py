@@ -27,6 +27,8 @@ __all__ = [
     "g_gradient",
     "h_value",
     "h_gradient",
+    "g_value_and_gradient",
+    "h_value_and_gradient",
     "matching_value",
 ]
 
@@ -43,14 +45,16 @@ def _logsumexp_rows(u: np.ndarray) -> np.ndarray:
     return hi + np.log(total)
 
 
-def _softmax_rows(u: np.ndarray) -> np.ndarray:
-    # Per-row choice fractions, shape (rows, cols + 1), outside option first.
+def _choice_rows(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Per-row log-sum-exp, as _logsumexp_rows to the bit, and choice
+    # fractions, shape (rows, cols + 1) with the outside option first, from
+    # one exponential.
     hi = np.maximum(u.max(axis=1), 0.0)
     with np.errstate(under="ignore"):
         outside = np.exp(-hi)
         inside = np.exp(u - hi[:, None])
     total = outside + inside.sum(axis=1)
-    return np.column_stack([outside, inside]) / total[:, None]
+    return hi + np.log(total), np.column_stack([outside, inside]) / total[:, None]
 
 
 def g_value(U, spec: MarketSpec) -> float:
@@ -65,8 +69,7 @@ def g_gradient(U, spec: MarketSpec) -> np.ndarray:
 
     Row x sums to the worker mass n_x and every entry is strictly positive.
     """
-    arr = as_surplus_array(U, spec, "U")
-    return spec.n[:, None] * _softmax_rows(arr)
+    return g_value_and_gradient(U, spec)[1]
 
 
 def h_value(V, spec: MarketSpec) -> float:
@@ -80,8 +83,21 @@ def h_gradient(V, spec: MarketSpec) -> np.ndarray:
 
     Column y sums to the slot mass m_y.
     """
-    arr = as_surplus_array(V, spec, "V")
-    return (spec.m[:, None] * _softmax_rows(arr.T)).T
+    return h_value_and_gradient(V, spec)[1]
+
+
+def g_value_and_gradient(U, spec: MarketSpec) -> tuple[float, np.ndarray]:
+    """:func:`g_value` and :func:`g_gradient`, each to the bit, from one
+    exponential of U."""
+    lse, shares = _choice_rows(as_surplus_array(U, spec, "U"))
+    return float(spec.n @ lse), spec.n[:, None] * shares
+
+
+def h_value_and_gradient(V, spec: MarketSpec) -> tuple[float, np.ndarray]:
+    """:func:`h_value` and :func:`h_gradient`, each to the bit, from one
+    exponential of V."""
+    lse, shares = _choice_rows(as_surplus_array(V, spec, "V").T)
+    return float(spec.m @ lse), (spec.m[:, None] * shares).T
 
 
 def matching_value(mu, phi, spec: MarketSpec) -> float:

@@ -148,6 +148,13 @@ class MarketSpec:
         return idx
 
     @cached_property
+    def region_indicator(self) -> np.ndarray:
+        """Read-only (M, L) 0/1 matrix, one at each slot type's region."""
+        indicator = np.eye(self.num_regions)[self.slot_region_index]
+        indicator.flags.writeable = False
+        return indicator
+
+    @cached_property
     def region_slot_indices(self) -> tuple[np.ndarray, ...]:
         """For each region, the slot-type indices that belong to it."""
         return tuple(
@@ -372,20 +379,20 @@ def validate_market(spec: MarketSpec) -> ValidationReport:
         bad.append("worker masses must be strictly positive and finite")
     if not np.all((spec.m > 0) & (spec.m < np.inf)):
         bad.append("slot masses must be strictly positive and finite")
-    for zi, z in enumerate(spec.regions):
-        if not spec.lower[zi] >= 0:
+    lower, upper = spec.lower, spec.upper
+    slot_mass = np.bincount(spec.slot_region_index, weights=spec.m, minlength=spec.num_regions)
+    negative, nonpositive = ~(lower >= 0), ~(upper > 0)
+    crossed, overfull = upper < lower, lower > slot_mass
+    for zi in np.flatnonzero(negative | nonpositive | crossed | overfull):
+        z = spec.regions[zi]
+        if negative[zi]:
             bad.append(f"region {z!r}: lower quota must be nonnegative")
-        if not spec.upper[zi] > 0:
+        if nonpositive[zi]:
             bad.append(f"region {z!r}: upper quota must be strictly positive")
-        if spec.upper[zi] < spec.lower[zi]:
-            bad.append(
-                f"region {z!r}: upper quota {spec.upper[zi]:g} is below "
-                f"lower quota {spec.lower[zi]:g}"
-            )
-        if spec.lower[zi] > spec.m[spec.region_slot_indices[zi]].sum():
-            bad.append(
-                f"region {z!r}: lower quota exceeds the region's total slot mass"
-            )
+        if crossed[zi]:
+            bad.append(f"region {z!r}: upper quota {upper[zi]:g} is below lower quota {lower[zi]:g}")
+        if overfull[zi]:
+            bad.append(f"region {z!r}: lower quota exceeds the region's total slot mass")
     if spec.lower.sum() > spec.n.sum():
         bad.append(
             f"sum of lower quotas {spec.lower.sum():g} exceeds total worker mass {spec.n.sum():g}"

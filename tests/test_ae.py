@@ -482,13 +482,20 @@ class TestExtremeMarkets:
         assert result.diagnostics.converged
         assert report.passed, report
 
-    # The descent oracle is accurate to about 2e-8 of the largest mass while
-    # the surplus stays moderate; far beyond that its quasi-Newton search
-    # stops short of the equilibrium, so it is not a reference there. The
-    # solve itself is exact only to its absolute population tolerance.
+    # The descent oracle finishes with exact Newton steps, so it reaches the
+    # equilibrium where its quasi-Newton search alone stops short, as it does
+    # on the second example (a residual of 1.3e-2). The solve itself is exact
+    # only to its absolute population tolerance.
     @settings(max_examples=60, deadline=None)
     @given(extreme_markets(surplus_limit=40.0))
     @example(one_region_market([1e-5], [1e-5], [[0.1875]]))
+    @example(
+        one_region_market(
+            [1e3, 1e-6, 1e2],
+            [13.33521432163324, 10.0, 1000.0],
+            [[0.0, 1.0, -34.0], [-1.25, 6.0, 24.875], [-1.0, 0.0, 9.0]],
+        )
+    )
     def test_matches_descent_oracle(self, case):
         spec, phi = case
         result = solve_ae(spec, phi)

@@ -374,7 +374,7 @@ def test_bench_writes_csv(tmp_path):
     ])
     assert code == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == "num_worker_types,num_regions,mean_seconds,converged"
+    assert lines[0] == "num_worker_types,num_regions,mean_seconds,newton_steps,binding_frac,converged"
     assert len(lines) == 2
 
 

@@ -13,7 +13,7 @@ from quotamatch.eae import (
     solve_eae,
     verify_kkt,
 )
-from quotamatch.logit import matching_value
+from quotamatch.logit import g_gradient, g_value, h_gradient, h_value, matching_value
 from quotamatch.market import (
     EquilibriumResult,
     Diagnostics,
@@ -133,7 +133,113 @@ class TestTaxSearch:
             assert np.abs(jacobian - numeric).max() < 1e-6, seed
 
 
+def shuffled_binding_market(seed: int):
+    """Market of 6 worker types and 20 regions, one holding a single slot type
+    and the others three each, assigned to the 58 slot types in shuffled
+    order. Each quota is the interval of +-2% around its region's mass at a
+    witness tax drawn from [-1, 1], so most quotas bind."""
+    from quotamatch.market import MarketSpec
+
+    rng = np.random.default_rng(seed)
+    L = 20
+    assignment = rng.permutation([0] + [z for z in range(1, L) for _ in range(3)])
+    regions = tuple(f"z{k}" for k in range(L))
+    slots = tuple(f"y{j}" for j in range(assignment.size))
+    spec = MarketSpec(
+        tuple(f"x{i}" for i in range(6)), slots, regions,
+        rng.uniform(0.1, 0.3, size=6), rng.uniform(0.01, 0.04, size=len(slots)),
+        {y: regions[z] for y, z in zip(slots, assignment)},
+        np.full(L, np.inf), np.zeros(L),
+    )
+    phi = 1.0 + rng.normal(size=(spec.num_workers, spec.num_slots))
+    masses = region_masses(solve_ae(spec, phi, rng.uniform(-1.0, 1.0, size=L)).matching, spec)
+    return spec.with_quotas(
+        upper=dict(zip(regions, 1.02 * masses)), lower=dict(zip(regions, 0.98 * masses))
+    ), phi
+
+
+class TestMassJacobian:
+    @pytest.fixture(scope="class")
+    def solved(self):
+        spec, phi = shuffled_binding_market(0)
+        result = solve_eae(spec, phi)
+        assert result.diagnostics.converged
+        assert np.count_nonzero(result.taxes.w) >= 15
+        return spec, phi, result.taxes.w
+
+    def test_matches_central_differences(self, solved, monkeypatch):
+        spec, phi, w = solved
+        monkeypatch.setattr(ae, "POPULATION_TOLERANCE", 1e-13)
+        monkeypatch.setattr(ae, "MAX_ITERATIONS", 100_000)
+        jacobian = FixedPoint(spec).solve(phi, w).mass_jacobian()
+        h = 1e-4
+        numeric = np.empty_like(jacobian)
+        for zi in range(spec.num_regions):
+            step = h * np.eye(spec.num_regions)[zi]
+            hi = region_masses(solve_ae(spec, phi, w + step).matching, spec)
+            lo = region_masses(solve_ae(spec, phi, w - step).matching, spec)
+            numeric[:, zi] = (hi - lo) / (2.0 * h)
+        assert np.abs(jacobian - numeric).max() <= 1e-8 * np.abs(jacobian).max()
+
+    def test_is_symmetric_and_matches_the_tangent(self, solved):
+        spec, phi, w = solved
+        fp = FixedPoint(spec).solve(phi, w)
+        jacobian = fp.mass_jacobian()
+        scale = np.abs(jacobian).max()
+        assert np.abs(jacobian - jacobian.T).max() <= 1e-12 * scale
+        # The same derivative from the tangent along one direction per region.
+        R = spec.region_indicator
+        mu = fp.matching().matched
+        _, db = fp.tangent(-0.5 * mu @ R, -0.5 * mu.sum(axis=0)[:, None] * R)
+        assert np.abs(jacobian + 2.0 * R.T @ (fp.b[:, None] * db)).max() <= 1e-14 * scale
+
+
 class TestVerifier:
+    @pytest.mark.parametrize("tol", [1e-8, 1e-2])
+    def test_report_equals_one_built_from_the_logit_functions(self, tol):
+        spec, phi = shuffled_binding_market(0)
+        result = solve_eae(spec, phi)
+        mu, (U, V), w = result.matching, (result.utilities.U, result.utilities.V), result.taxes.w
+        assert (np.abs(w) > tol).any() and (np.abs(w) <= tol).any()
+        grad_w, grad_s = g_gradient(U, spec), h_gradient(V, spec)
+        slack = U + V - (phi - w[spec.slot_region_index][None, :])
+        masses = region_masses(mu, spec)
+        region_cs = 0.0
+        for zi in range(spec.num_regions):
+            if w[zi] > tol:
+                region_cs = max(region_cs, abs(masses[zi] - spec.upper[zi]))
+            elif w[zi] < -tol:
+                region_cs = max(region_cs, abs(masses[zi] - spec.lower[zi]))
+        taxed = w > 0.0
+        dual = (
+            g_value(U, spec) + h_value(V, spec)
+            + float((spec.upper[taxed] * w[taxed]).sum()) - float((spec.lower * np.maximum(-w, 0.0)).sum())
+        )
+        primal = matching_value(mu, phi, spec)
+        clearing = float(max(
+            np.abs(mu.matched - grad_w[:, 1:]).max(),
+            np.abs(mu.unmatched_workers - grad_w[:, 0]).max(),
+            np.abs(mu.matched - grad_s[1:, :]).max(),
+            np.abs(mu.unmatched_slots - grad_s[0, :]).max(),
+        ))
+        quota = float(np.maximum(masses - spec.upper, spec.lower - masses).clip(0.0).max())
+        cs = max(float(np.abs(slack[mu.matched > tol]).max(initial=0.0)), region_cs)
+        population = mu.population_residual(spec)
+        expected = eae.KKTReport(
+            population_residual=population,
+            noblocking_min_slack=float(slack.min(initial=0.0)),
+            clearing_residual=clearing,
+            quota_violation=quota,
+            complementary_slackness_residual=cs,
+            dual_value=dual,
+            primal_value=primal,
+            duality_gap=abs(dual - primal),
+            passed=bool(
+                population <= tol and slack.min() >= -tol and clearing <= tol and quota <= tol and cs <= tol
+            ),
+        )
+        assert verify_kkt(result, spec, phi, tol=tol) == expected
+
     def test_flags_fabricated_tax_on_slack_region(self, example_market):
         spec, phi = example_market
         base = solve_ae(spec, phi, np.array([1.0, 0.0]))

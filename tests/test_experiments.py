@@ -1,4 +1,6 @@
+import importlib
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from quotamatch.experiments import (
     JrmpConfig,
     ScalingConfig,
     bench_eae,
+    binding_market,
     gen_jrmp_market,
     gen_scaling_market,
     run_lower_bound_sweep,
@@ -248,6 +251,26 @@ class TestBench:
         assert len(rows) == 1
         assert rows[0].converged
         assert rows[0].mean_seconds > 0.0
+
+    def test_rows_report_newton_steps_and_binding_share(self):
+        cfg = ScalingConfig(worker_type_counts=(10,), region_counts=(20,), trials=2)
+        (row,) = bench_eae(cfg)
+        assert row.converged
+        assert 1.0 <= row.newton_steps <= 20.0
+        assert 0.5 <= row.binding_frac <= 1.0
+
+    @pytest.mark.parametrize("size", [(10, 5), (20, 20), (10, 100)])
+    def test_binding_market_draws_what_the_benchmark_draws(self, size, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+        workloads = importlib.import_module("perfbench.workloads")
+        for seed in (derive_seed(0, f"eae-binding/{size[0]}x{size[1]}/0"), 7):
+            spec, phi = binding_market(*size, seed)
+            theirs, their_phi = workloads.binding_market(*size, seed)
+            for field in ("worker_types", "slot_types", "regions", "region_of"):
+                assert getattr(spec, field) == getattr(theirs, field), field
+            for field in ("n", "m", "upper", "lower"):
+                assert getattr(spec, field).tobytes() == getattr(theirs, field).tobytes(), field
+            assert phi.phi.tobytes() == their_phi.phi.tobytes()
 
     def test_target_cell_converges_with_kkt_pass(self):
         from quotamatch.eae import solve_eae

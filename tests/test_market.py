@@ -86,6 +86,37 @@ def test_validate_flags_floor_on_empty_region():
     assert any("total slot mass" in v for v in report.violations)
 
 
+def test_validate_reports_every_region_in_order():
+    # z1 breaks the sign checks, z2 the ordering and its slot mass (0.75),
+    # z3 (NaN quotas) the two sign checks, z4 (no slots) its slot mass, and
+    # z5 none; the masses break both mass checks.
+    spec = MarketSpec(
+        ("x1", "x2"), ("y1", "y2", "y3", "y4", "y5"), ("z1", "z2", "z3", "z4", "z5"),
+        np.array([1.0, -1.0]), np.array([0.5, 0.25, 0.25, np.nan, 1.0]),
+        {"y1": "z2", "y2": "z3", "y3": "z2", "y4": "z1", "y5": "z5"},
+        np.array([0.0, 0.5, np.nan, 3.0, np.inf]), np.array([-1.0, 0.8, np.nan, 3.0, 0.0]),
+    )
+    assert validate_market(spec).violations == (
+        "worker masses must be strictly positive and finite",
+        "slot masses must be strictly positive and finite",
+        "region 'z1': lower quota must be nonnegative",
+        "region 'z1': upper quota must be strictly positive",
+        "region 'z2': upper quota 0.5 is below lower quota 0.8",
+        "region 'z2': lower quota exceeds the region's total slot mass",
+        "region 'z3': lower quota must be nonnegative",
+        "region 'z3': upper quota must be strictly positive",
+        "region 'z4': lower quota exceeds the region's total slot mass",
+    )
+
+
+def test_region_indicator_marks_each_slot_region(example_market):
+    spec, _ = example_market
+    R = spec.region_indicator
+    assert R.shape == (spec.num_slots, spec.num_regions) and not R.flags.writeable
+    assert np.array_equal(R.argmax(axis=1), spec.slot_region_index)
+    assert np.array_equal(R.sum(axis=1), np.ones(spec.num_slots))
+
+
 def test_region_mass_zero_and_single_term(single_pair):
     zero = Matching(np.zeros((1, 1)), np.zeros(1), np.zeros(1))
     assert region_masses(zero, single_pair).tolist() == [0.0]
