@@ -12,12 +12,14 @@ population condition. The roots are taken with ``hypot``, so no step squares a
 kernel-sized number and the whole range of :func:`build_kernel` is usable.
 
 The sweeps converge linearly, and their rate tends to one as unmatched masses
-vanish. Once they have brought the residual below a switch, or stall, each
-sweep is followed by a Newton trial on the worker equations with the slot side
-eliminated exactly. The step is taken in log a under a trust radius and is
-kept where it lowers the residual or the convex potential whose block
-minimization the sweeps are (:func:`_ipfp`); the Jacobian is the Schur
-complement that :meth:`FixedPoint.tangent` also solves with.
+vanish. Once they have brought the residual below a switch, or stall, a sweep
+is followed by a Newton trial on the worker equations with the slot side
+eliminated exactly, unless one more sweep at the rate of the last is predicted
+to converge; so the first trial comes after the second sweep at the earliest.
+The step is taken in log a under a trust radius and is kept where it lowers
+the residual or the convex potential whose block minimization the sweeps are
+(:func:`_ipfp`); the Jacobian is the Schur complement that
+:meth:`FixedPoint.tangent` also solves with.
 
 One :class:`FixedPoint` holds a market's solution and warm-starts each solve
 from the last: :func:`solve_ae` is one cold solve, and the outer searches of
@@ -70,7 +72,7 @@ MAX_ITERATIONS = 10_000
 _EXP_LIMIT = 700.0
 #: a sweep is followed by a Newton trial once the worst population residual
 #: is below _NEWTON_SWITCH, or when it stays above _STALL times its value
-#: after the previous sweep
+#: after the previous sweep, unless the next sweep is predicted to converge
 _NEWTON_SWITCH = 1e-3
 _STALL = 0.9
 #: relative rounding error allowed in the fixed point's potential: near the
@@ -116,18 +118,22 @@ def _ipfp(n, m, kernel, b0=None, scale=1.0):
 
     A sweep that leaves the worst residual below ``_NEWTON_SWITCH``, or above
     ``_STALL`` times its previous value, is followed by one Newton trial
-    per market on the worker equations F(a) = a**2 + a (K b(a)) - n, with
-    the slot side b(a) eliminated exactly (:func:`_log_jacobian`). The step
-    is taken in log a, so a stays positive, and each component is clipped to
-    a per-market trust radius. The radius doubles after a kept clipped step;
-    after a rejected one it is half the length tried, but no less than a
-    tenth of an e-fold, so that rejections where rounding hides progress
-    cannot shrink it to nothing. A market keeps its trial where it lowers
-    the convex potential whose block minimization the sweeps are, or lowers
-    the population residual without raising the potential beyond its
-    rounding error; otherwise the plain sweep stands. Near saturation the
-    residual is flat over many orders of magnitude of a, and only the
-    potential registers progress. ``iterations`` counts sweeps.
+    per market, unless one more sweep at the rate of this one is predicted to
+    converge: ``worst * min(1, worst / last) <= POPULATION_TOLERANCE``, with
+    ``last`` the worst residual before this sweep (infinite before the
+    first). The trial works on the worker equations
+    F(a) = a**2 + a (K b(a)) - n, with the slot side b(a) eliminated exactly
+    (:func:`_log_jacobian`). The step is taken in log a, so a stays positive,
+    and each component is clipped to a per-market trust radius. The radius
+    doubles after a kept clipped step; after a rejected one it is half the
+    length tried, but no less than a tenth of an e-fold, so that rejections
+    where rounding hides progress cannot shrink it to nothing. A market
+    keeps its trial where it lowers the convex potential whose block
+    minimization the sweeps are, or lowers the population residual without
+    raising the potential beyond its rounding error; otherwise the plain
+    sweep stands. Near saturation the residual is flat over many orders of
+    magnitude of a, and only the potential registers progress.
+    ``iterations`` counts sweeps.
     """
     b = np.sqrt(m / 2.0) if b0 is None else np.array(b0, dtype=np.float64)
     # Each half-sweep takes the positive root of x**2 + s*x - c = 0 as
@@ -164,6 +170,9 @@ def _ipfp(n, m, kernel, b0=None, scale=1.0):
         if worst <= POPULATION_TOLERANCE:
             break
         if worst >= _NEWTON_SWITCH and worst < _STALL * last:
+            continue
+        # One more sweep at this one's rate is predicted to converge.
+        if worst * min(1.0, worst / last) <= POPULATION_TOLERANCE:
             continue
         res = residuals(worker, slot)
         # A trial far from the solution may overflow; it is then rejected,
@@ -296,12 +305,16 @@ class FixedPoint:
         reduces to P = (a K * b**2 / d_b) R, the slot terms of ``excess``
         summed region by region, and
         J = 2 P' H^-1 P - diag(P'1).
-        The cost is O(N M (N + L)) for H and P plus one N x N solve with L
-        right-hand sides; no (M, L) array is formed but the indicator R.
+        The cost is O(N**2 M) for H, O(N M) for P, whose region sums are one
+        segment sum, plus one N x N solve with L right-hand sides; no (M, L)
+        array is formed.
         """
+        spec = self.spec
         a, b, kernel = self.a, self.b, self.kernel
         d_b = 2.0 * b + a @ kernel
-        P = (a[:, None] * kernel / d_b * (b * b)) @ self.spec.region_indicator
+        terms = a[:, None] * kernel / d_b * (b * b)
+        cells = np.bincount(spec.pair_region_cells, terms.ravel(), a.size * spec.num_regions)
+        P = cells.reshape(a.size, -1)
         solved = _solve_log_jacobian(*_log_jacobian(a, b, kernel, d_b), P)
         return 2.0 * P.T @ solved - np.diag(P.sum(axis=0))
 

@@ -148,11 +148,14 @@ class MarketSpec:
         return idx
 
     @cached_property
-    def region_indicator(self) -> np.ndarray:
-        """Read-only (M, L) 0/1 matrix, one at each slot type's region."""
-        indicator = np.eye(self.num_regions)[self.slot_region_index]
-        indicator.flags.writeable = False
-        return indicator
+    def pair_region_cells(self) -> np.ndarray:
+        """Read-only flat index x * L + region(y) of every (worker, slot) pair,
+        in row order: the (worker, region) cell that a segment sum
+        (``np.bincount``) adds the pair to."""
+        cells = np.arange(self.num_workers)[:, None] * self.num_regions + self.slot_region_index
+        cells = cells.ravel()
+        cells.flags.writeable = False
+        return cells
 
     @cached_property
     def region_slot_indices(self) -> tuple[np.ndarray, ...]:

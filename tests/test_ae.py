@@ -134,6 +134,34 @@ class TestSolveAe:
         d = result.diagnostics
         assert d.duality_gap <= 1e-8 * (1.0 + abs(d.dual_value))
 
+    @pytest.mark.parametrize("batched", [False, True], ids=["single", "batched"])
+    def test_start_one_sweep_from_convergence_takes_no_newton_trial(self, example_market, batched, monkeypatch):
+        # With the surplus lowered by 8 the sweeps contract about
+        # five-hundredfold. Started from the roots at taxes 1e-5 higher, the
+        # first sweep leaves a residual near 1e-8 and the second converges,
+        # so the rate the first two sweeps show calls for no Newton trial.
+        spec, phi = example_market
+        phi = phi.phi - 8.0
+        taxes = np.array([[0.2, 0.0], [0.5, -0.1], [-0.3, 0.4]])
+        start = np.array([FixedPoint(spec).solve(phi, w + 1e-5).b for w in taxes])
+        if batched:
+            kernel, scale = build_kernel(phi, np.zeros(2), spec), np.exp(-0.5 * taxes[:, spec.slot_region_index])
+        else:
+            kernel, scale, start = build_kernel(phi, taxes[0], spec), 1.0, start[0]
+        solve_log_jacobian, trials = ae._solve_log_jacobian, []
+
+        def counting_solve(*args):
+            trials.append(1)
+            return solve_log_jacobian(*args)
+
+        monkeypatch.setattr(ae, "_solve_log_jacobian", counting_solve)
+        _, _, sweeps, residual = ae._ipfp(spec.n, spec.m, kernel, start, scale)
+        assert (sweeps, trials) == (2, []) and residual <= ae.POPULATION_TOLERANCE
+        # One sweep alone does not converge.
+        monkeypatch.setattr(ae, "MAX_ITERATIONS", 1)
+        _, _, sweeps, residual = ae._ipfp(spec.n, spec.m, kernel, start, scale)
+        assert (sweeps, trials) == (1, []) and residual > 10.0 * ae.POPULATION_TOLERANCE
+
 
 def assert_priced_like_solve_ae(batch, spec, phi, tol, welfare_tol=None):
     """Every grid point's region masses, revenue and social welfare agree with
@@ -438,11 +466,21 @@ SATURATED_SIDE = [
 
 class TestExtremeMarkets:
     @pytest.mark.parametrize("n, m, phi", SATURATED_SIDE)
-    def test_saturated_side_converges_in_few_sweeps(self, n, m, phi):
+    def test_saturated_side_converges_in_few_sweeps(self, n, m, phi, monkeypatch):
+        # The sweeps' rate is near one, so no sweep is predicted to converge:
+        # Newton trials follow most sweeps and do the work of thousands.
         spec, phi = one_region_market(n, m, phi)
+        solve_log_jacobian, trials = ae._solve_log_jacobian, []
+
+        def counting_solve(*args):
+            trials.append(1)
+            return solve_log_jacobian(*args)
+
+        monkeypatch.setattr(ae, "_solve_log_jacobian", counting_solve)
         result = solve_ae(spec, phi)
         assert result.diagnostics.converged
         assert result.diagnostics.inner_iterations <= 100
+        assert len(trials) >= result.diagnostics.inner_iterations // 2
 
     # Zero taxes, so a surplus of 1400 is a kernel exponent of 700, the
     # range limit of build_kernel.

@@ -2,12 +2,15 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_constrained_market, random_market
 from oracles import descent_taxes_under_quotas, sweep_grid_matchings
 from quotamatch import ae, eae
-from quotamatch.ae import FixedPoint, solve_ae
+from quotamatch.ae import FixedPoint, KernelRangeError, solve_ae
 from quotamatch.eae import (
+    CONSTRAINT_TOLERANCE,
     InfeasibleQuotaError,
     dual_value,
     solve_eae,
@@ -17,6 +20,7 @@ from quotamatch.logit import g_gradient, g_value, h_gradient, h_value, matching_
 from quotamatch.market import (
     EquilibriumResult,
     Diagnostics,
+    MarketSpec,
     Matching,
     SystematicUtilities,
     TaxScheme,
@@ -188,7 +192,7 @@ class TestMassJacobian:
         scale = np.abs(jacobian).max()
         assert np.abs(jacobian - jacobian.T).max() <= 1e-12 * scale
         # The same derivative from the tangent along one direction per region.
-        R = spec.region_indicator
+        R = np.eye(spec.num_regions)[spec.slot_region_index]
         mu = fp.matching().matched
         _, db = fp.tangent(-0.5 * mu @ R, -0.5 * mu.sum(axis=0)[:, None] * R)
         assert np.abs(jacobian + 2.0 * R.T @ (fp.b[:, None] * db)).max() <= 1e-14 * scale
@@ -442,3 +446,68 @@ class TestInfeasibility:
             assert verify_kkt(result, spec, phi, tol=1e-8).passed
         assert time.perf_counter() - start < 0.5
         assert len(solves) <= 30
+
+
+def fuzzed_market(seed: int):
+    """A random market with mixed quotas, drawn by ``default_rng(seed)``.
+
+    1-6 worker types, 1-8 slot types and 1-min(M, 4) regions, each with at
+    least one slot type; masses 10**U(-4, 3); surplus a normal times one of
+    1, 5 or 30, plus one of 0, 0, 10 or -10. Half the regions get no quota;
+    the rest, with equal odds, a ceiling of U(0.01, 1.1) times the region's
+    reach (the lesser of the worker mass and its slot mass), or a floor of
+    U(0.01, 0.99), 1 - 10**-U(3, 12) or U(1, 1.1) times its reach.
+    """
+    rng = np.random.default_rng(seed)
+    num_workers, num_slots = int(rng.integers(1, 7)), int(rng.integers(1, 9))
+    num_regions = int(rng.integers(1, min(num_slots, 4) + 1))
+    region = np.concatenate([np.arange(num_regions), rng.integers(0, num_regions, num_slots - num_regions)])
+    rng.shuffle(region)
+    n, m = 10.0 ** rng.uniform(-4.0, 3.0, num_workers), 10.0 ** rng.uniform(-4.0, 3.0, num_slots)
+    phi = rng.normal(size=(num_workers, num_slots)) * rng.choice([1.0, 5.0, 30.0])
+    phi += rng.choice([0.0, 0.0, 10.0, -10.0])
+    upper, lower = np.full(num_regions, np.inf), np.zeros(num_regions)
+    for zi in range(num_regions):
+        reach = min(n.sum(), m[region == zi].sum())
+        if rng.random() < 0.5:
+            continue
+        if rng.random() < 0.5:
+            upper[zi] = rng.uniform(0.01, 1.1) * reach
+            continue
+        kind = rng.integers(3)
+        if kind == 0:
+            lower[zi] = rng.uniform(0.01, 0.99) * reach
+        elif kind == 1:
+            lower[zi] = (1.0 - 10.0 ** -rng.uniform(3.0, 12.0)) * reach
+        else:
+            lower[zi] = rng.uniform(1.0, 1.1) * reach
+    spec = MarketSpec(
+        tuple(f"x{i}" for i in range(num_workers)),
+        tuple(f"y{j}" for j in range(num_slots)),
+        tuple(f"z{k}" for k in range(num_regions)),
+        n,
+        m,
+        {f"y{j}": f"z{region[j]}" for j in range(num_slots)},
+        upper,
+        lower,
+    )
+    return spec, phi
+
+
+class TestContract:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_random_markets_end_certified_or_typed(self, seed):
+        # Every input ends in a result or a typed failure, and a result that
+        # says it converged is certified. Some draws with a region of tiny
+        # reach or a floor at its reach end unconverged; that is allowed here.
+        spec, phi = fuzzed_market(seed)
+        try:
+            result = solve_eae(spec, phi)
+        except (InfeasibleQuotaError, KernelRangeError):
+            return
+        except ValueError as error:
+            assert "not admissible" in str(error)
+            return
+        if result.diagnostics.converged:
+            assert verify_kkt(result, spec, phi, tol=CONSTRAINT_TOLERANCE).passed

@@ -109,12 +109,13 @@ def test_validate_reports_every_region_in_order():
     )
 
 
-def test_region_indicator_marks_each_slot_region(example_market):
+def test_pair_region_cells_index_each_pairs_worker_and_region(example_market):
     spec, _ = example_market
-    R = spec.region_indicator
-    assert R.shape == (spec.num_slots, spec.num_regions) and not R.flags.writeable
-    assert np.array_equal(R.argmax(axis=1), spec.slot_region_index)
-    assert np.array_equal(R.sum(axis=1), np.ones(spec.num_slots))
+    cells = spec.pair_region_cells
+    assert cells.shape == (spec.num_workers * spec.num_slots,) and not cells.flags.writeable
+    workers, regions = np.divmod(cells.reshape(spec.num_workers, spec.num_slots), spec.num_regions)
+    assert np.array_equal(workers, np.repeat(np.arange(spec.num_workers)[:, None], spec.num_slots, axis=1))
+    assert np.array_equal(regions, np.tile(spec.slot_region_index, (spec.num_workers, 1)))
 
 
 def test_region_mass_zero_and_single_term(single_pair):

@@ -205,10 +205,11 @@ class TestBudgetBalancedPolicy:
             assert np.array_equal(result.search_parameter, gs.taxes[best]), level
             assert result.welfare.social == pytest.approx(social[best], abs=1e-8)
 
-    def test_default_grid_batches_take_one_sweep_each(self, jrmp, monkeypatch):
+    def test_default_grid_batches_take_few_sweeps_and_trials(self, jrmp, monkeypatch):
         # Batches step along the fine subsidy axis, solved batch by batch by
         # continuation (ae.solve_ae_grid), so after the first two each takes
-        # one sweep.
+        # a few sweeps. A batch takes one more sweep in place of a Newton
+        # trial where that sweep is predicted to converge: 9 trials in all.
         ipfp, sweeps = ae._ipfp, []
         solve_log_jacobian, trials = ae._solve_log_jacobian, []
 
@@ -225,9 +226,8 @@ class TestBudgetBalancedPolicy:
         monkeypatch.setattr(ae, "_solve_log_jacobian", counting_solve)
         spec, phi = jrmp
         assert solve_ae_grid(spec, phi, default_grid(spec)).converged
-        assert len(sweeps) == 21 and sweeps[2:] == [1] * 19
-        assert sum(sweeps) <= 35
-        assert len(trials) <= 13
+        assert len(sweeps) == 21 and max(sweeps[2:]) <= 3
+        assert len(trials) <= 10
 
     def test_sweep_selection_equals_fresh_bbae_bit_for_bit(self, jrmp):
         # The sweep shares solves across levels: the budget-balance grid, a
